@@ -30,7 +30,7 @@ from .likelihood import (
 from .model import canonical
 from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
 
-MODES = ("LDP", "CDP", "LDP-adaptive", "CDP-adaptive")
+MODES = ("LDP", "CDP", "LDP-adaptive")
 
 
 @dataclass(frozen=True)

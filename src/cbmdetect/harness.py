@@ -341,8 +341,8 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     hamming column is -1 (true post labels unknowable); otherwise samples
     are drawn from the scenario.
     """
-    runner = make_runner(scenario, detector, derive_seed(seed, TRIAL, 0))
     trial_seed = derive_seed(seed, TRIAL, 0)
+    runner = make_runner(scenario, detector, trial_seed)
     rows = []
     horizon = len(stream) if stream is not None else truncation
     for k in range(1, horizon + 1):

@@ -18,6 +18,10 @@ from .model import TernaryGraph, n_pairs
 # identity long before that point
 EPS_IDENTITY = 700.0
 
+# the two foreign symbols for each symbol x, in a fixed order, indexed by x + 1
+_ALT1 = np.array([0, -1, -1], dtype=np.int8)
+_ALT2 = np.array([1, 1, 0], dtype=np.int8)
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -64,11 +68,11 @@ def perturb_graph(graph, epsilon, seed):
     rng = generator(seed, PERTURB)
     u = rng.random(n_pairs(graph.n))
     x = graph.upper
-    # the two foreign symbols for each value of x, in a fixed order
-    alt1 = np.choose(x.astype(np.intp) + 1, [0, -1, -1])
-    alt2 = np.choose(x.astype(np.intp) + 1, [1, 1, 0])
-    out = np.where(u < probs.keep, x, np.where(u < probs.keep + probs.switch, alt1, alt2))
-    return TernaryGraph(graph.n, out.astype(np.int8))
+    idx = x + 1
+    out = np.where(
+        u < probs.keep, x, np.where(u < probs.keep + probs.switch, _ALT1[idx], _ALT2[idx])
+    )
+    return TernaryGraph(graph.n, out)
 
 
 def perturbed_params(p, zeta, epsilon):

@@ -2,8 +2,10 @@
 
 Three estimators share the objective sigma^T M sigma with M the sum of the
 input adjacencies: a low-rank factored ascent for the semidefinite
-relaxation, a power-iteration spectral method, and exhaustive search for
-small n. All return canonical labels (first entry +1).
+relaxation, a spectral method that takes the signs of M's top eigenvector
+(Lanczos with full reorthogonalization, so its status reports whether the
+eigenvector met a residual bound), and exhaustive search for small n. All
+return canonical labels (first entry +1).
 """
 
 import math
@@ -105,21 +107,47 @@ def _ascend(m, v, cfg):
     return v, False
 
 
-def _power_iteration(matvec, start, iters=1000, tol=1e-10):
-    """Leading eigenpair by power iteration; needs a dominant eigenvalue."""
-    x = start / np.linalg.norm(start)
-    lam = 0.0
-    for _ in range(iters):
-        y = matvec(x)
-        lam = float(x @ y)
-        ynorm = float(np.linalg.norm(y))
-        if ynorm == 0.0:
-            return x, 0.0, True
-        resid = float(np.linalg.norm(y - lam * x))
-        x = y / ynorm
-        if resid <= tol * max(1.0, abs(lam)):
-            return x, lam, True
-    return x, lam, False
+RITZ_TOL = 1e-10  # Ritz residual bound, relative to max(1, |theta|)
+RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
+
+
+def _top_eigenvector(m, start):
+    """(x, converged): unit eigenvector for the largest eigenvalue of symmetric m.
+
+    Lanczos on m itself, started from `start`, with every new basis vector
+    orthogonalized twice against all earlier ones (full reorthogonalization,
+    Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6). Every few
+    steps the top Ritz pair of the k x k tridiagonal is formed; it is returned
+    once its residual ||m x - theta x|| = beta_k |s_k| is at most
+    RITZ_TOL * max(1, |theta|), or when the Krylov space is exhausted
+    (k = n). `converged` says whether the residual bound held; the work is
+    at most n matrix-vector products.
+    """
+    n = len(start)
+    basis = np.empty((n, n))
+    alpha = np.empty(n)
+    beta = np.empty(n)
+    q = start / np.linalg.norm(start)
+    for k in range(n):
+        basis[k] = q
+        w = m @ q
+        alpha[k] = q @ w
+        w -= alpha[k] * q
+        if k:
+            w -= beta[k - 1] * basis[k - 1]
+        for _ in range(2):
+            w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        # beta_k <= RITZ_TOL meets the residual bound whatever s_k is, so
+        # the Krylov space closing early always ends here
+        last = k + 1 == n
+        if last or beta[k] <= RITZ_TOL or (k + 1) % RITZ_EVERY == 0:
+            t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
+            theta, s = np.linalg.eigh(t)
+            converged = beta[k] * abs(s[-1, -1]) <= RITZ_TOL * max(1.0, abs(theta[-1]))
+            if converged or last:
+                return basis[: k + 1].T @ s[:, -1], bool(converged)
+        q = w / beta[k]
 
 
 def _signs(x):
@@ -149,9 +177,9 @@ def sdp_estimate(graphs, cfg=None, seed=0):
     """Factored ascent for max tr(M Y), Y PSD with unit diagonal.
 
     V has unit rows and rank ceil(sqrt(2n)) by default; each restart ascends
-    from a random V, rounds by the sign of the top eigenvector of V V^T, and
-    (by default) polishes with single flips. Best rounded objective wins,
-    earliest restart on ties.
+    from a random V, rounds by the sign of the top left singular vector of V
+    (the top eigenvector of V V^T), and (by default) polishes with single
+    flips. Best rounded objective wins, earliest restart on ties.
     """
     cfg = cfg or SdpConfig()
     n, m = stack_dense(graphs)
@@ -165,10 +193,7 @@ def sdp_estimate(graphs, cfg=None, seed=0):
         rng = generator(seed, SOLVER, k)
         v = _row_normalize(rng.standard_normal((n, rank)))
         v, converged = _ascend(m, v, cfg)
-        x, _, _ = _power_iteration(
-            lambda z: v @ (v.T @ z), rng.standard_normal(n)
-        )
-        labels = _signs(x)
+        labels = _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0])
         if cfg.polish:
             labels = _polish(m, labels)
         obj = float(labels @ m @ labels)
@@ -178,21 +203,19 @@ def sdp_estimate(graphs, cfg=None, seed=0):
     return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters")
 
 
-def spectral_estimate(graphs, seed=0, iters=2000, tol=1e-10):
-    """Signs of the leading eigenvector of M (shifted to dominate).
+def spectral_estimate(graphs, seed=0):
+    """Signs of the eigenvector for the largest eigenvalue of M.
 
-    The shift M + ||M||_1 I makes the top eigenvalue positive and dominant
-    without moving eigenvectors. A zero M is flagged degenerate and yields
+    The eigenvector comes from Lanczos on M from a seeded Gaussian start;
+    status is "converged" when its Ritz residual met the bound, "max_iters"
+    when n steps did not meet it. A zero M is flagged degenerate and yields
     random labels.
     """
     n, m = stack_dense(graphs)
     rng = generator(seed, SOLVER, 0)
     if not m.any():
         return RecoveryResult(canonical(random_labels(n, rng)), 0.0, "degenerate")
-    shift = float(np.abs(m).sum(axis=1).max())
-    x, _, converged = _power_iteration(
-        lambda z: m @ z + shift * z, rng.standard_normal(n), iters=iters, tol=tol
-    )
+    x, converged = _top_eigenvector(m, rng.standard_normal(n))
     labels = _signs(x)
     obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters")

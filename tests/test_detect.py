@@ -43,6 +43,8 @@ def test_init_detector():
     assert state.t == 0 and state.stat == 0.0 and state.buffer == ()
     with pytest.raises(ValueError):
         init_detector(PRE, "GDP")
+    with pytest.raises(ValueError):
+        init_detector(PRE, "CDP-adaptive")
 
 
 def test_config_validation():

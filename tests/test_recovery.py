@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbmdetect._rng import SOLVER, generator
+from cbmdetect.ldp import perturb_graph
 from cbmdetect.model import (
     CbmParams,
     TernaryGraph,
+    canonical,
     err,
     n_pairs,
     quad_form,
@@ -13,7 +16,9 @@ from cbmdetect.model import (
     sample_cbm,
 )
 from cbmdetect.recovery import (
+    RITZ_TOL,
     SdpConfig,
+    _top_eigenvector,
     ml_exhaustive,
     sdp_estimate,
     spectral_estimate,
@@ -101,6 +106,46 @@ def test_spectral_recovers_planted_labels():
     g, labels = _planted(24, seed=6)
     result = spectral_estimate(g, seed=0)
     assert err(result.labels, labels) == 0
+
+
+# (n, a, seed) of perturbed draws (zeta=0.1, eps=1.5). Power iteration on
+# the shifted matrix ran out of iterations on all but the first two, and the
+# two draws at a < 5 have an eigengap below 0.01.
+HARD_DRAWS = [
+    (50, 5.0, 0),
+    (200, 5.0, 0),
+    (50, 5.0, 100),
+    (200, 5.0, 10),
+    (50, 2.0, 2739),
+    (200, 1.0, 84),
+]
+
+
+@pytest.mark.parametrize("n, a, seed", HARD_DRAWS)
+def test_spectral_converges_to_eigh_signs(n, a, seed):
+    params = CbmParams.from_scale(n, a, 0.1)
+    pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+    g = perturb_graph(sample_cbm(params, pre, seed=seed), 1.5, seed=seed)
+    evals, evecs = np.linalg.eigh(g.dense())
+    if a < 5.0:
+        assert evals[-1] - evals[-2] < 0.01
+    result = spectral_estimate(g, seed=0)
+    assert result.status == "converged"
+    assert np.array_equal(result.labels, canonical(np.where(evecs[:, -1] < 0, -1, 1)))
+
+
+@settings(max_examples=200)
+@given(small_graphs())
+def test_top_eigenvector_is_top_eigenpair(graph):
+    m = graph.dense()
+    if not m.any():
+        return
+    x, converged = _top_eigenvector(m, generator(0, SOLVER, 0).standard_normal(graph.n))
+    assert converged
+    np.testing.assert_allclose(np.linalg.norm(x), 1.0, rtol=1e-12)
+    theta = float(x @ m @ x)
+    np.testing.assert_allclose(theta, np.linalg.eigvalsh(m)[-1], atol=1e-9)
+    assert np.linalg.norm(m @ x - theta * x) <= RITZ_TOL * max(1.0, abs(theta))
 
 
 def test_spectral_zero_graph_degenerate():
