@@ -104,7 +104,10 @@ def _cmd_recover(args):
     else:
         raise ValueError(f"unknown estimator {args.estimator!r}")
     print(format_labels(result.labels))
-    print(f"objective={result.objective:.10g} status={result.status}")
+    print(
+        f"objective={result.objective:.10g} status={result.status} "
+        f"iterations={result.iterations}"
+    )
     return 1 if result.status == "degenerate" else 0
 
 

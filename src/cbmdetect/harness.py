@@ -97,15 +97,15 @@ def _mean_ci(values):
     return mean, (mean - half, mean + half)
 
 
+def _sdp_cfg(spec):
+    """SdpConfig from a descriptor's rank/restarts/max_iters; SdpConfig defaults otherwise."""
+    return SdpConfig(**{k: spec[k] for k in ("rank", "restarts", "max_iters") if k in spec})
+
+
 def _detector_cfg(spec, trial_seed):
-    sdp = SdpConfig(
-        rank=spec.get("rank"),
-        restarts=spec.get("restarts", 3),
-        max_iters=spec.get("max_iters", 300),
-    )
     return DetectorConfig(
         estimator=spec.get("estimator", "sdp"),
-        sdp=sdp,
+        sdp=_sdp_cfg(spec),
         window=spec.get("window", 1),
         seed_first=spec.get("seed_first", True),
         seed=derive_seed(trial_seed, 9),
@@ -117,7 +117,7 @@ def _release_estimator(spec):
     if name == "ml":
         return ml_exhaustive
     if name == "sdp":
-        cfg = SdpConfig(restarts=spec.get("restarts", 3))
+        cfg = _sdp_cfg(spec)
         return lambda g: sdp_estimate(g, cfg, seed=0)
     if name == "spectral":
         return lambda g: spectral_estimate(g, seed=0)
@@ -216,6 +216,7 @@ def make_runner(scenario, detector, trial_seed):
     accept estimator/window/restarts/rank/max_iters/seed_first plus, for
     CDP, delta and release = assumed | stability | subsample with
     release_estimator, assumed_distance, distance_cap, max_subgraphs.
+    restarts/rank/max_iters set every SDP solve, the release's included.
     """
     if callable(detector):
         return detector(scenario, trial_seed)

@@ -179,12 +179,13 @@ class TernaryGraph:
         return cls(m.shape[0], m[i, j].astype(np.int8))
 
     def dense(self):
-        """Full symmetric float64 matrix (cached)."""
+        """Full symmetric float64 matrix (cached, read-only)."""
         if self._dense is None:
             a = np.zeros((self.n, self.n))
             i, j = pair_indices(self.n)
             a[i, j] = self.upper
             a[j, i] = self.upper
+            a.flags.writeable = False
             self._dense = a
         return self._dense
 

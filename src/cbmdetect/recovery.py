@@ -1,11 +1,10 @@
 """Community estimation from one or more ternary graphs.
 
-Three estimators share the objective sigma^T M sigma with M the sum of the
-input adjacencies: a low-rank factored ascent for the semidefinite
-relaxation, a spectral method that takes the signs of M's top eigenvector
-(Lanczos with full reorthogonalization, so its status reports whether the
-eigenvector met a residual bound), and exhaustive search for small n. All
-return canonical labels (first entry +1).
+Three estimators share the objective sigma^T M sigma, M the sum of the input
+adjacencies: a factored ascent for the semidefinite relaxation stopped by a
+duality-gap certificate, the signs of M's top eigenvector (Lanczos), and
+exhaustive search for small n. Each status says whether its solver met its
+bound. All return canonical labels (first entry +1).
 """
 
 import math
@@ -23,9 +22,7 @@ class SdpConfig:
 
     rank: int | None = None  # None picks ceil(sqrt(2 n))
     max_iters: int = 300
-    grad_tol: float = 1e-7
-    step_rule: str = "backtracking"  # or "fixed"
-    step_size: float = 0.5  # fixed-rule step, in units of 1/lipschitz
+    gap_tol: float = 1e-4  # certified duality gap, relative to 1 + |objective|
     restarts: int = 3
     polish: bool = True
 
@@ -34,12 +31,8 @@ class SdpConfig:
             raise ValueError("rank must be >= 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValueError(f"unknown step_rule {self.step_rule!r}")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not self.gap_tol > 0:
+            raise ValueError("gap_tol must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -49,62 +42,73 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
+    iterations: int = 0  # solver steps: SDP ascent or Lanczos; 0 for ML
 
 
 def stack_dense(graphs):
-    """(n, M) with M the float64 sum of the given graphs' adjacencies."""
-    if isinstance(graphs, TernaryGraph):
-        graphs = [graphs]
-    graphs = list(graphs)
+    """(n, M), M the float64 sum of the adjacencies; one graph's is its read-only dense()."""
+    graphs = [graphs] if isinstance(graphs, TernaryGraph) else list(graphs)
     if not graphs:
         raise ValueError("need at least one graph")
     n = graphs[0].n
-    m = np.zeros((n, n))
-    for g in graphs:
-        if g.n != n:
-            raise ValueError("graphs must share n")
-        m += g.dense()
+    if any(g.n != n for g in graphs):
+        raise ValueError("graphs must share n")
+    m = graphs[0].dense()
+    for g in graphs[1:]:
+        m = m + g.dense()
     return n, m
 
 
-def _row_normalize(v):
-    norms = np.sqrt(np.sum(v * v, axis=1, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    return v / norms
+GAP_EVERY = 10  # ascent steps between duality-gap checks
 
 
-def _objective(m, v):
-    return float(np.sum((m @ v) * v))
+def _power_step(v, mv, y, lam_min):
+    """V <- rownormalize((M + s I) V) per block; rows with a zero image stay.
+
+    tr(V^T M V) rises by <M D, D> + sum_i (s + |a_i|) |D_i|^2 (D = V' - V, a_i
+    rows of (M + s I) V): >= 0 for s = -lam_min (Journee, Nesterov, Richtarik &
+    Sepulchre, JMLR 2010) and, as |a_i| >= y_i + s, for 2 s >= -lam_min - min y.
+    s is the smaller of the two, at least 0.
+    """
+    w = mv + np.clip((-lam_min - y.min(axis=0)) / 2.0, 0.0, -lam_min)[:, None] * v
+    norms = np.sqrt(np.einsum("ibr,ibr->ib", w, w))[:, :, None]
+    return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
 
 
 def _ascend(m, v, cfg):
-    """Projected gradient ascent of tr(V^T M V) over unit rows of V."""
-    lip = max(1.0, float(np.abs(m).sum(axis=1).max()))
-    fv = _objective(m, v)
-    for _ in range(cfg.max_iters):
-        grad = 2.0 * (m @ v)
-        tangent = grad - np.sum(grad * v, axis=1, keepdims=True) * v
-        gnorm2 = float(np.sum(tangent * tangent))
-        if math.sqrt(gnorm2) <= cfg.grad_tol * (1.0 + abs(fv)):
-            return v, True
-        if cfg.step_rule == "fixed":
-            v = _row_normalize(v + (cfg.step_size / lip) * tangent)
-            fv = _objective(m, v)
-            continue
-        step = 1.0 / lip
-        accepted = False
-        for _ in range(40):
-            cand = _row_normalize(v + step * tangent)
-            fc = _objective(m, cand)
-            if fc >= fv + 1e-4 * step * gnorm2:
-                v, fv = cand, fc
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            # no usable ascent direction left at float precision
-            return v, True
-    return v, False
+    """(V, certified, steps): shifted power ascent of the n x rank blocks of V.
+
+    A block with y_i = <(M V)_i, v_i> stops once n lambda_max(M - Diag(y))+ <=
+    gap_tol (1 + |sum y|), the weak-duality bound on its distance from the
+    SDP optimum. This O(n^3) check runs every GAP_EVERY steps for blocks whose
+    Riemannian gradient meets the same bar; each failure doubles their wait.
+    """
+    n, blocks, _ = v.shape
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    certified, due, wait = np.zeros(blocks, bool), np.zeros(blocks, int), np.full(blocks, GAP_EVERY)
+    idx, va = np.arange(blocks), v
+    for it in range(cfg.max_iters + 1):
+        mv = (m @ va.reshape(n, -1)).reshape(va.shape)
+        y = np.einsum("ibr,ibr->ib", mv, va)
+        if it % GAP_EVERY == 0:
+            grad = 2.0 * np.linalg.norm(mv - y[:, :, None] * va, axis=(0, 2))
+            bar = cfg.gap_tol * (1.0 + np.abs(y.sum(axis=0)))
+            for j, b in enumerate(idx):
+                if it < due[b] or grad[j] > bar[j]:
+                    continue
+                if n * max(0.0, np.linalg.eigvalsh(m - np.diag(y[:, j]))[-1]) <= bar[j]:
+                    certified[b] = True
+                else:
+                    wait[b] *= 2
+                    due[b] = it + wait[b]
+            done = certified[idx]
+            v[:, idx[done]] = va[:, done]
+            idx, va, mv, y = idx[~done], va[:, ~done], mv[:, ~done], y[:, ~done]
+        if it == cfg.max_iters or not idx.size:
+            break
+        va = _power_step(va, mv, y, lam_min)
+    v[:, idx] = va
+    return v, certified, it
 
 
 RITZ_TOL = 1e-10  # Ritz residual bound, relative to max(1, |theta|)
@@ -112,16 +116,14 @@ RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
 
 
 def _top_eigenvector(m, start):
-    """(x, converged): unit eigenvector for the largest eigenvalue of symmetric m.
+    """(x, converged, steps): unit top eigenvector of symmetric m by Lanczos.
 
-    Lanczos on m itself, started from `start`, with every new basis vector
-    orthogonalized twice against all earlier ones (full reorthogonalization,
-    Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6). Every few
-    steps the top Ritz pair of the k x k tridiagonal is formed; it is returned
-    once its residual ||m x - theta x|| = beta_k |s_k| is at most
-    RITZ_TOL * max(1, |theta|), or when the Krylov space is exhausted
-    (k = n). `converged` says whether the residual bound held; the work is
-    at most n matrix-vector products.
+    Lanczos on m itself from `start`, each new basis vector orthogonalized
+    twice against all earlier ones (full reorthogonalization; Saad, Numerical
+    Methods for Large Eigenvalue Problems, ch. 6). Every RITZ_EVERY steps the
+    top Ritz pair of the tridiagonal is formed and returned once its residual
+    beta_k |s_k| is at most RITZ_TOL * max(1, |theta|), or when k = n.
+    `converged` says whether the bound held; steps (matvecs) is at most n.
     """
     n = len(start)
     basis = np.empty((n, n))
@@ -146,7 +148,7 @@ def _top_eigenvector(m, start):
             theta, s = np.linalg.eigh(t)
             converged = beta[k] * abs(s[-1, -1]) <= RITZ_TOL * max(1.0, abs(theta[-1]))
             if converged or last:
-                return basis[: k + 1].T @ s[:, -1], bool(converged)
+                return basis[: k + 1].T @ s[:, -1], bool(converged), k + 1
         q = w / beta[k]
 
 
@@ -176,31 +178,29 @@ def _polish(m, labels):
 def sdp_estimate(graphs, cfg=None, seed=0):
     """Factored ascent for max tr(M Y), Y PSD with unit diagonal.
 
-    V has unit rows and rank ceil(sqrt(2n)) by default; each restart ascends
-    from a random V, rounds by the sign of the top left singular vector of V
-    (the top eigenvector of V V^T), and (by default) polishes with single
-    flips. Best rounded objective wins, earliest restart on ties.
+    Restart k is an n x rank block of V (rank ceil(sqrt(2n)) by default;
+    Boumal, Voroninski & Bandeira, arXiv:1606.04970) from generator(seed,
+    SOLVER, k); all blocks ascend at once. Each rounds by the sign of its top
+    left singular vector and polishes with single flips; the best objective
+    wins, earliest restart on ties, "converged" if its block was certified.
     """
     cfg = cfg or SdpConfig()
     n, m = stack_dense(graphs)
     if not m.any():
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
-    rank = cfg.rank if cfg.rank is not None else math.ceil(math.sqrt(2 * n))
-    rank = min(max(rank, 2), n)
-    best = None
+    rank = min(max(cfg.rank or math.ceil(math.sqrt(2 * n)), 2), n)
+    starts = [generator(seed, SOLVER, k).standard_normal((n, rank)) for k in range(cfg.restarts)]
+    v = np.stack(starts, axis=1)
+    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=2, keepdims=True), cfg)
+    rounded = []
     for k in range(cfg.restarts):
-        rng = generator(seed, SOLVER, k)
-        v = _row_normalize(rng.standard_normal((n, rank)))
-        v, converged = _ascend(m, v, cfg)
-        labels = _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0])
-        if cfg.polish:
-            labels = _polish(m, labels)
-        obj = float(labels @ m @ labels)
-        if best is None or obj > best[0]:
-            best = (obj, labels, converged)
-    obj, labels, converged = best
-    return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters")
+        labels = _signs(np.linalg.svd(v[:, k], full_matrices=False)[0][:, 0])
+        labels = _polish(m, labels) if cfg.polish else labels
+        rounded.append((float(labels @ m @ labels), labels))
+    k = max(range(cfg.restarts), key=lambda k: rounded[k][0])  # first maximum
+    status = "converged" if certified[k] else "max_iters"
+    return RecoveryResult(canonical(rounded[k][1]), rounded[k][0], status, steps)
 
 
 def spectral_estimate(graphs, seed=0):
@@ -215,10 +215,10 @@ def spectral_estimate(graphs, seed=0):
     rng = generator(seed, SOLVER, 0)
     if not m.any():
         return RecoveryResult(canonical(random_labels(n, rng)), 0.0, "degenerate")
-    x, converged = _top_eigenvector(m, rng.standard_normal(n))
+    x, converged, steps = _top_eigenvector(m, rng.standard_normal(n))
     labels = _signs(x)
     obj = float(labels @ m @ labels)
-    return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters")
+    return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters", steps)
 
 
 def ml_exhaustive(graph):

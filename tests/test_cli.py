@@ -97,7 +97,7 @@ def test_pipeline_generate_perturb_recover(tmp_path, capsys):
     assert main(["recover", "--in", str(noisy), "--estimator", "ml", "--seed", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == labels
-    assert lines[1].startswith("objective=") and "status=converged" in lines[1]
+    assert lines[1].startswith("objective=") and "status=converged iterations=0" in lines[1]
 
 
 def test_recover_degenerate_graph_exits_one(tmp_path, capsys):

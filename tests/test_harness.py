@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cbmdetect import harness
 from cbmdetect.harness import (
     ExperimentConfig,
     make_runner,
@@ -18,7 +19,8 @@ from cbmdetect.harness import (
     theorem_boundary_a,
 )
 from cbmdetect.ldp import ldp_recovery_margin
-from cbmdetect.model import CbmParams, ChangeScenario, pair_indices
+from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices
+from cbmdetect.recovery import SdpConfig
 
 
 def _scenario(n=6, p=0.8, zeta=0.1, nu=1, flips=(0,)):
@@ -128,6 +130,20 @@ def test_make_runner_kinds():
     with pytest.raises(ValueError):
         make_runner(sc, {"kind": "GDP", "b": 1.0, "epsilon": 2.0}, trial_seed=0)
     assert isinstance(make_runner(sc, StopAtThree, trial_seed=0), StopAtThree)
+
+
+def test_sdp_settings_come_from_the_descriptor(monkeypatch):
+    sc = _scenario()
+    base = {"kind": "LDP", "b": 1.0, "epsilon": 2.0}
+    assert make_runner(sc, base, trial_seed=0).cfg.sdp == SdpConfig()
+    tuned = {**base, "rank": 4, "restarts": 2, "max_iters": 50}
+    expected = SdpConfig(rank=4, restarts=2, max_iters=50)
+    assert make_runner(sc, tuned, trial_seed=0).cfg.sdp == expected
+    # the CDP release estimator reads the same keys
+    seen = []
+    monkeypatch.setattr(harness, "sdp_estimate", lambda g, cfg, seed: seen.append(cfg))
+    harness._release_estimator({**tuned, "release_estimator": "sdp"})(TernaryGraph.zero(4))
+    assert seen == [expected]
 
 
 def test_default_truncation_from_threshold():

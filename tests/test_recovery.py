@@ -18,6 +18,8 @@ from cbmdetect.model import (
 from cbmdetect.recovery import (
     RITZ_TOL,
     SdpConfig,
+    _ascend,
+    _power_step,
     _top_eigenvector,
     ml_exhaustive,
     sdp_estimate,
@@ -50,7 +52,9 @@ def test_stack_dense_sums():
     assert n == 3
     np.testing.assert_allclose(m, g1.dense() + g2.dense())
     n1, m1 = stack_dense(g1)
-    np.testing.assert_allclose(m1, g1.dense())
+    assert m1 is g1.dense()
+    with pytest.raises(ValueError):
+        m1[0, 1] = 5.0
     with pytest.raises(ValueError):
         stack_dense([])
     with pytest.raises(ValueError):
@@ -79,12 +83,67 @@ def test_sdp_never_beats_ml(graph):
     assert quad_form(graph, sdp.labels) <= ml.objective + 1e-9
 
 
+def _unit_blocks(n, blocks, rank, seed):
+    v = np.random.default_rng(seed).standard_normal((n, blocks, rank))
+    return v / np.linalg.norm(v, axis=2, keepdims=True)
+
+
+@settings(max_examples=200)
+@given(small_graphs(), st.integers(0, 2**32 - 1))
+def test_power_step_never_lowers_objective(graph, seed):
+    m = graph.dense()
+    v = _unit_blocks(graph.n, 2, 3, seed)
+    mv = np.einsum("ij,jbr->ibr", m, v)
+    y = np.einsum("ibr,ibr->ib", mv, v)
+    lam_min = np.linalg.eigvalsh(m)[0]
+    after = _power_step(v, mv, y, lam_min)
+    np.testing.assert_allclose(np.linalg.norm(after, axis=2), 1.0, rtol=1e-12)
+    before_obj = y.sum(axis=0)
+    after_obj = np.einsum("ibr,ij,jbr->b", after, m, after)
+    assert np.all(after_obj >= before_obj - 1e-9 * (1.0 + np.abs(before_obj)))
+
+
+@settings(max_examples=100)
+@given(small_graphs(), st.integers(0, 2**32 - 1))
+def test_certified_blocks_meet_the_dual_bound(graph, seed):
+    m = graph.dense()
+    if not m.any():
+        return
+    cfg = SdpConfig()
+    v, certified, steps = _ascend(m, _unit_blocks(graph.n, 3, 3, seed), cfg)
+    assert 0 <= steps <= cfg.max_iters
+    ml = ml_exhaustive(graph).objective
+    tol = 1e-9 * (1.0 + abs(ml))
+    for b in np.flatnonzero(certified):
+        y = np.sum((m @ v[:, b]) * v[:, b], axis=1)
+        bar = cfg.gap_tol * (1.0 + abs(y.sum()))
+        gap = graph.n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1])
+        assert gap <= bar + tol
+        # every labeling is a feasible SDP point, so the dual bound sum(y) + gap
+        # is at least ml, and the certified value is within the bar of it
+        assert y.sum() + gap >= ml - tol
+        assert y.sum() >= ml - bar - tol
+
+
 def test_sdp_recovers_planted_labels():
     g, labels = _planted(24, seed=2)
     result = sdp_estimate(g, SdpConfig(restarts=3), seed=0)
     assert err(result.labels, labels) == 0
-    assert result.status in ("converged", "max_iters")
+    assert result.status == "converged"
+    assert 0 < result.iterations < SdpConfig().max_iters
     assert result.labels[0] == 1
+
+
+@pytest.mark.parametrize("gap_tol", [0.0, -1e-4, float("nan")])
+def test_sdp_config_rejects_nonpositive_gap_tol(gap_tol):
+    with pytest.raises(ValueError):
+        SdpConfig(gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("field", ["step_rule", "step_size", "grad_tol"])
+def test_sdp_config_has_no_step_knobs(field):
+    with pytest.raises(TypeError):
+        SdpConfig(**{field: 1})
 
 
 def test_sdp_deterministic_given_seed():
@@ -131,6 +190,7 @@ def test_spectral_converges_to_eigh_signs(n, a, seed):
         assert evals[-1] - evals[-2] < 0.01
     result = spectral_estimate(g, seed=0)
     assert result.status == "converged"
+    assert 1 <= result.iterations <= n
     assert np.array_equal(result.labels, canonical(np.where(evecs[:, -1] < 0, -1, 1)))
 
 
@@ -140,8 +200,9 @@ def test_top_eigenvector_is_top_eigenpair(graph):
     m = graph.dense()
     if not m.any():
         return
-    x, converged = _top_eigenvector(m, generator(0, SOLVER, 0).standard_normal(graph.n))
+    x, converged, steps = _top_eigenvector(m, generator(0, SOLVER, 0).standard_normal(graph.n))
     assert converged
+    assert 1 <= steps <= graph.n
     np.testing.assert_allclose(np.linalg.norm(x), 1.0, rtol=1e-12)
     theta = float(x @ m @ x)
     np.testing.assert_allclose(theta, np.linalg.eigvalsh(m)[-1], atol=1e-9)
