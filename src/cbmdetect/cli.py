@@ -26,7 +26,8 @@ from .io import (
     write_graph_csv,
     write_trajectory_csv,
 )
-from .ldp import ldp_threshold_rhs, perturb_graph
+from .ldp import ldp_threshold_rhs, perturb_graph, perturbed_params
+from .likelihood import kl_divergence
 from .model import CbmParams, format_labels, parse_labels
 from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
 from .theory import (
@@ -168,10 +169,17 @@ def _cmd_simulate(args):
         }
     else:
         report = run_delay_trials(cfg)
+        # stationary delay 2 b / I, I the post-vs-pre KL at the law the detector scores
+        # (info_numbers' i0 for CDP, i0_tilde for LDP); the raw law may have p = 1
+        law = (scenario.params_pre.p, scenario.params_pre.zeta)
+        if detector["kind"] != "CDP":
+            law = perturbed_params(*law, detector["epsilon"])
+        kl = kl_divergence(scenario.pre, scenario.post, *law)
         summary = {
             "censored_fraction": report.censored_fraction,
             "delay_ci": list(report.delay_ci),
             "mean_delay": report.mean_delay,
+            "stationary_delay": 2.0 * detector["b"] / kl if kl > 0 else None,
             "trials": cfg.trials,
         }
     print(json.dumps(summary, sort_keys=True))

@@ -108,6 +108,19 @@ def _is_fresh(state):
     return state.t == 0 and not state.buffer
 
 
+def _advance(state, graph, cfg, score):
+    """Score unless seeding, then re-estimate sigma_hat from the last `window` graphs.
+
+    A scored step sets stat <- max(stat + score(), 0) and t <- t + 1. score is
+    a thunk, so the seed-only first step (cfg.seed_first on a fresh state)
+    never evaluates it and leaves stat and t alone.
+    """
+    if not (cfg.seed_first and _is_fresh(state)):
+        state = replace(state, stat=max(state.stat + score(), 0.0), t=state.t + 1)
+    buffer = (state.buffer + (graph,))[-cfg.window :]
+    return replace(state, sigma_hat=_estimate(buffer, cfg, state.sigma_hat, state.t), buffer=buffer)
+
+
 def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
     """Advance the local-privacy detector by one perturbed graph.
 
@@ -117,17 +130,13 @@ def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
     cfg.seed_first (default) the very first graph is only absorbed into the
     estimate; nothing is scored and t stays 0.
     """
-    cfg = cfg or DetectorConfig()
     pre = canonical(pre_labels, new_graph.n)
-    if cfg.seed_first and _is_fresh(state):
-        buffer = (new_graph,)
-        sigma = _estimate(buffer, cfg, state.sigma_hat, 0)
-        return replace(state, sigma_hat=sigma, buffer=buffer)
-    inc = log_likelihood_ratio(new_graph, state.sigma_hat, pre, p_tilde, zeta_tilde)
-    stat = max(state.stat + inc, 0.0)
-    buffer = (state.buffer + (new_graph,))[-cfg.window :]
-    sigma = _estimate(buffer, cfg, state.sigma_hat, state.t + 1)
-    return replace(state, stat=stat, sigma_hat=sigma, buffer=buffer, t=state.t + 1)
+    return _advance(
+        state,
+        new_graph,
+        cfg or DetectorConfig(),
+        lambda: log_likelihood_ratio(new_graph, state.sigma_hat, pre, p_tilde, zeta_tilde),
+    )
 
 
 def ldp_stop(state, rule):
@@ -200,47 +209,19 @@ def adaptive_step_unknown_params(state, new_graph, pre_labels, p_pre, zeta_pre, 
     no revealed pair cannot be fit: the next score is 0 and
     degenerate_steps counts the occurrence.
     """
-    cfg = cfg or DetectorConfig()
     pre = canonical(pre_labels, new_graph.n)
 
-    def refit(buffer, sigma):
-        fit = mle_params(buffer[-1], sigma)
-        if fit.degenerate:
-            return None, None, 1
-        return fit.p_hat, fit.zeta_hat, 0
-
-    if cfg.seed_first and _is_fresh(state):
-        buffer = (new_graph,)
-        sigma = _estimate(buffer, cfg, state.sigma_hat, 0)
-        p_hat, zeta_hat, degen = refit(buffer, sigma)
-        return replace(
-            state,
-            sigma_hat=sigma,
-            buffer=buffer,
-            p_hat=p_hat,
-            zeta_hat=zeta_hat,
-            degenerate_steps=state.degenerate_steps + degen,
-        )
-    if state.p_hat is None:
-        inc = 0.0
-    else:
+    def score():
+        if state.p_hat is None:
+            return 0.0
         num = log_likelihood(new_graph, state.sigma_hat, _clamp_p(state.p_hat), state.zeta_hat)
-        den = log_likelihood(new_graph, pre, p_pre, zeta_pre)
-        inc = num - den
-    stat = max(state.stat + inc, 0.0)
-    buffer = (state.buffer + (new_graph,))[-cfg.window :]
-    sigma = _estimate(buffer, cfg, state.sigma_hat, state.t + 1)
-    p_hat, zeta_hat, degen = refit(buffer, sigma)
-    return replace(
-        state,
-        stat=stat,
-        sigma_hat=sigma,
-        buffer=buffer,
-        t=state.t + 1,
-        p_hat=p_hat,
-        zeta_hat=zeta_hat,
-        degenerate_steps=state.degenerate_steps + degen,
-    )
+        return num - log_likelihood(new_graph, pre, p_pre, zeta_pre)
+
+    nxt = _advance(state, new_graph, cfg or DetectorConfig(), score)
+    fit = mle_params(new_graph, nxt.sigma_hat)
+    if fit.degenerate:
+        return replace(nxt, p_hat=None, zeta_hat=None, degenerate_steps=nxt.degenerate_steps + 1)
+    return replace(nxt, p_hat=fit.p_hat, zeta_hat=fit.zeta_hat)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,12 @@
 """Simulation drivers: delay and run-length trials, phase grids, comparisons.
 
+One loop runs every detection trial: `_steps` feeds a trial's graphs (drawn
+from the scenario, or replayed from a stream) to the runner that make_runner
+builds, one step per graph, until the runner stops. Campaign rows and the
+trajectory are folds over it; a run-length campaign is a delay campaign
+whose change never comes (nu = inf). The one-shot sweeps (phase grid, the
+SDP-vs-spectral comparisons) share one seeded draw, `_one_shot`.
+
 Trials are reproducible regardless of scheduling: every random object is
 derived from (experiment seed, trial index, step index, purpose), so a
 parallel run and a serial run produce identical reports.
@@ -11,7 +18,7 @@ detector absorbs to initialize its estimate is not scored.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +35,6 @@ from .detect import (
     ldp_step,
     ldp_stop,
 )
-from .io import ingest_stream
 from .ldp import PrivacyBudget, ldp_recovery_margin, perturb_graph, perturbed_params
 from .model import CbmParams, ChangeScenario, err, random_labels, sample_cbm
 from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
@@ -47,7 +53,6 @@ __all__ = [
     "comparison_to_csv",
     "theorem_boundary_a",
     "make_runner",
-    "ingest_stream",
 ]
 
 
@@ -142,36 +147,19 @@ def _mechanism(spec):
 class _LdpRunner:
     def __init__(self, scenario, spec, trial_seed):
         self.scenario = scenario
+        self.kind = spec["kind"]
         self.epsilon = spec["epsilon"]
         pre = scenario.params_pre
         self.p_t, self.z_t = perturbed_params(pre.p, pre.zeta, self.epsilon)
         self.cfg = _detector_cfg(spec, trial_seed)
-        self.state = init_detector(scenario.pre, "LDP")
+        self.state = init_detector(scenario.pre, self.kind)
         self.rule = StoppingRule(b=spec["b"])
         self.trial_seed = trial_seed
 
     def step(self, raw_graph, k):
         fed = perturb_graph(raw_graph, self.epsilon, derive_seed(self.trial_seed, 2, k))
-        self.state = ldp_step(self.state, fed, self.scenario.pre, self.p_t, self.z_t, self.cfg)
-        return ldp_stop(self.state, self.rule)
-
-
-class _LdpAdaptiveRunner:
-    def __init__(self, scenario, spec, trial_seed):
-        self.scenario = scenario
-        self.epsilon = spec["epsilon"]
-        pre = scenario.params_pre
-        self.p_t, self.z_t = perturbed_params(pre.p, pre.zeta, self.epsilon)
-        self.cfg = _detector_cfg(spec, trial_seed)
-        self.state = init_detector(scenario.pre, "LDP-adaptive")
-        self.rule = StoppingRule(b=spec["b"])
-        self.trial_seed = trial_seed
-
-    def step(self, raw_graph, k):
-        fed = perturb_graph(raw_graph, self.epsilon, derive_seed(self.trial_seed, 2, k))
-        self.state = adaptive_step_unknown_params(
-            self.state, fed, self.scenario.pre, self.p_t, self.z_t, self.cfg
-        )
+        step = ldp_step if self.kind == "LDP" else adaptive_step_unknown_params
+        self.state = step(self.state, fed, self.scenario.pre, self.p_t, self.z_t, self.cfg)
         return ldp_stop(self.state, self.rule)
 
 
@@ -204,7 +192,7 @@ class _CdpRunner:
 
 _RUNNERS = {
     "LDP": _LdpRunner,
-    "LDP-adaptive": _LdpAdaptiveRunner,
+    "LDP-adaptive": _LdpRunner,
     "CDP": _CdpRunner,
 }
 
@@ -234,30 +222,36 @@ def _default_truncation(cfg):
     return 1000
 
 
-def _run_one_trial(scenario, detector, seed, truncation, trial, no_change):
-    trial_seed = derive_seed(seed, TRIAL, trial)
+def _drawn(scenario, trial_seed, horizon):
+    """The scenario's graphs for samples 1..horizon, each drawn when asked for."""
+    for k in range(1, horizon + 1):
+        labels, params = scenario.regime_at(k)
+        yield sample_cbm(params, labels, derive_seed(trial_seed, 1, k))
+
+
+def _steps(scenario, detector, trial_seed, graphs):
+    """Feed graphs to one trial's runner; yield (k, stopped, state) until it stops."""
     runner = make_runner(scenario, detector, trial_seed)
-    errors = []
-    stopped = False
-    samples = 0
-    for k in range(1, truncation + 1):
-        if no_change:
-            labels, params = scenario.pre, scenario.params_pre
-        else:
-            labels, params = scenario.regime_at(k)
-        raw = sample_cbm(params, labels, derive_seed(trial_seed, 1, k))
+    for k, raw in enumerate(graphs, 1):
         stopped = runner.step(raw, k)
-        samples = k
-        sigma = getattr(runner.state, "sigma_hat", None)
+        yield k, stopped, runner.state
+        if stopped:
+            return
+
+
+def _run_one_trial(scenario, detector, seed, truncation, trial):
+    trial_seed = derive_seed(seed, TRIAL, trial)
+    errors = []
+    for samples, stopped, state in _steps(
+        scenario, detector, trial_seed, _drawn(scenario, trial_seed, truncation)
+    ):
+        # runner factories (stubs, fixed-label rigs) may carry no estimate
+        sigma = getattr(state, "sigma_hat", None)
         if sigma is not None:
             errors.append(err(sigma, scenario.post))
-        if stopped:
-            break
-    state = runner.state
     # scored statistics lag samples by one when the first sample only seeded
     offset = samples - state.t
-    nu = 1 if no_change else scenario.nu
-    pre_stats = max(int(nu) - 1 - offset, 0) if nu != math.inf else 0
+    pre_stats = max(int(scenario.nu) - 1 - offset, 0) if scenario.nu != math.inf else 0
     return {
         "trial": trial,
         "stopped": stopped,
@@ -271,23 +265,13 @@ def _run_one_trial(scenario, detector, seed, truncation, trial, no_change):
     }
 
 
-def _trial_worker(args):
-    return _run_one_trial(*args)
-
-
-def _run_trials(cfg, no_change):
+def _run_trials(cfg, scenario):
     truncation = _default_truncation(cfg)
-    jobs = [
-        (cfg.scenario, cfg.detector, cfg.seed, truncation, trial, no_change)
-        for trial in range(cfg.trials)
-    ]
+    jobs = [(scenario, cfg.detector, cfg.seed, truncation, trial) for trial in range(cfg.trials)]
     if cfg.parallelism > 1:
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            rows = list(pool.map(_trial_worker, jobs))
-    else:
-        rows = [_run_one_trial(*job) for job in jobs]
-    rows.sort(key=lambda r: r["trial"])
-    return rows
+            return list(pool.map(_run_one_trial, *zip(*jobs)))
+    return [_run_one_trial(*job) for job in jobs]
 
 
 def _error_series(rows):
@@ -308,7 +292,7 @@ def run_delay_trials(cfg):
     """
     if cfg.scenario.nu == math.inf:
         raise ValueError("delay trials need a finite change time nu")
-    rows = _run_trials(cfg, no_change=False)
+    rows = _run_trials(cfg, cfg.scenario)
     mean, ci = _mean_ci([r["delay"] for r in rows])
     return SimReport(
         mean_delay=mean,
@@ -325,7 +309,7 @@ def run_arl_trials(cfg):
     Censored runs count at the truncation horizon, making the estimate a
     lower bound on the true average run length.
     """
-    rows = _run_trials(cfg, no_change=True)
+    rows = _run_trials(cfg, replace(cfg.scenario, nu=math.inf))
     lengths = [r["steps"] for r in rows]
     return SimReport(
         arl_estimate=float(np.mean(lengths)),
@@ -343,32 +327,20 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     are drawn from the scenario.
     """
     trial_seed = derive_seed(seed, TRIAL, 0)
-    runner = make_runner(scenario, detector, trial_seed)
+    graphs = stream if stream is not None else _drawn(scenario, trial_seed, truncation)
     rows = []
-    horizon = len(stream) if stream is not None else truncation
-    for k in range(1, horizon + 1):
-        if stream is not None:
-            raw = stream[k - 1]
-        else:
-            labels, params = scenario.regime_at(k)
-            raw = sample_cbm(params, labels, derive_seed(trial_seed, 1, k))
-        stopped = runner.step(raw, k)
-        sigma = getattr(runner.state, "sigma_hat", None)
-        if stream is not None or sigma is None:
-            ham = -1
-        else:
-            ham = err(sigma, scenario.post)
+    for _, stopped, state in _steps(scenario, detector, trial_seed, graphs):
+        sigma = getattr(state, "sigma_hat", None)
+        ham = -1 if stream is not None or sigma is None else err(sigma, scenario.post)
         rows.append(
             {
-                "t": runner.state.t,
-                "stat": runner.state.stat,
-                "noisy_stat": runner.state.noisy_stat,
+                "t": state.t,
+                "stat": state.stat,
+                "noisy_stat": state.noisy_stat,
                 "stopped": stopped,
                 "hamming_est_vs_post": ham,
             }
         )
-        if stopped:
-            break
     return rows
 
 
@@ -400,6 +372,13 @@ class PhaseGrid:
     boundary: list  # boundary a per zeta
 
 
+def _one_shot(params, epsilon, child):
+    """(planted labels, perturbed graph): one seeded draw for the one-shot sweeps."""
+    labels = random_labels(params.n, generator(child, 0))
+    raw = sample_cbm(params, labels, derive_seed(child, 1))
+    return labels, perturb_graph(raw, epsilon, derive_seed(child, 2))
+
+
 def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=0, restarts=3):
     """One-shot recovery rate from a single perturbed graph per cell."""
     a_values = list(a_values)
@@ -414,9 +393,7 @@ def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=
             hits = 0
             for rep in range(trials):
                 child = derive_seed(seed, 11, zi, ai, rep)
-                labels = random_labels(n, generator(child, 0))
-                raw = sample_cbm(params, labels, derive_seed(child, 1))
-                fed = perturb_graph(raw, epsilon, derive_seed(child, 2))
+                labels, fed = _one_shot(params, epsilon, child)
                 if estimator == "sdp":
                     est = sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels
                 else:
@@ -435,68 +412,48 @@ def phase_grid_to_csv(grid, path):
                 fh.write(f"{a:.10g},{zeta:.10g},{grid.rates[ai, zi]:.10g},{grid.boundary[zi]:.10g}\n")
 
 
+def _comparison_row(params, epsilon, reps, cfg, tag):
+    """Mean SDP and spectral error fractions over reps draws, both estimators on each."""
+    sdp_errs = []
+    spec_errs = []
+    for rep in range(reps):
+        child = derive_seed(*tag, rep)
+        labels, fed = _one_shot(params, epsilon, child)
+        sdp_errs.append(err(sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels, labels) / params.n)
+        spec_errs.append(err(spectral_estimate(fed, seed=derive_seed(child, 4)).labels, labels) / params.n)
+    return {
+        "n": params.n,
+        "p": params.p,
+        "zeta": params.zeta,
+        "epsilon": epsilon,
+        "reps": reps,
+        "sdp_err": float(np.mean(sdp_errs)),
+        "spectral_err": float(np.mean(spec_errs)),
+        "gap": float(abs(np.mean(sdp_errs) - np.mean(spec_errs))),
+    }
+
+
 def recovery_comparison(n_values, p, zeta, epsilon, reps, seed=0, restarts=3):
     """Paired error rates of the factored-SDP and spectral estimators.
 
     Per rep both estimators see the same single perturbed graph; errors are
     reported as fractions of n so sizes are comparable.
     """
-    rows = []
     cfg = SdpConfig(restarts=restarts)
-    for ni, n in enumerate(n_values):
-        params = CbmParams(n=n, p=p, zeta=zeta)
-        sdp_errs = []
-        spec_errs = []
-        for rep in range(reps):
-            child = derive_seed(seed, 12, ni, rep)
-            labels = random_labels(n, generator(child, 0))
-            raw = sample_cbm(params, labels, derive_seed(child, 1))
-            fed = perturb_graph(raw, epsilon, derive_seed(child, 2))
-            sdp_errs.append(err(sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels, labels) / n)
-            spec_errs.append(err(spectral_estimate(fed, seed=derive_seed(child, 4)).labels, labels) / n)
-        rows.append(
-            {
-                "n": n,
-                "p": p,
-                "zeta": zeta,
-                "epsilon": epsilon,
-                "reps": reps,
-                "sdp_err": float(np.mean(sdp_errs)),
-                "spectral_err": float(np.mean(spec_errs)),
-                "gap": float(abs(np.mean(sdp_errs) - np.mean(spec_errs))),
-            }
-        )
-    return rows
+    return [
+        _comparison_row(CbmParams(n=n, p=p, zeta=zeta), epsilon, reps, cfg, (seed, 12, ni))
+        for ni, n in enumerate(n_values)
+    ]
 
 
 def recovery_comparison_eps(eps_values, n, p, zeta, reps, seed=0, restarts=3):
     """Same paired comparison swept over the privacy level at fixed n."""
-    rows = []
     cfg = SdpConfig(restarts=restarts)
     params = CbmParams(n=n, p=p, zeta=zeta)
-    for ei, epsilon in enumerate(eps_values):
-        sdp_errs = []
-        spec_errs = []
-        for rep in range(reps):
-            child = derive_seed(seed, 13, ei, rep)
-            labels = random_labels(n, generator(child, 0))
-            raw = sample_cbm(params, labels, derive_seed(child, 1))
-            fed = perturb_graph(raw, epsilon, derive_seed(child, 2))
-            sdp_errs.append(err(sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels, labels) / n)
-            spec_errs.append(err(spectral_estimate(fed, seed=derive_seed(child, 4)).labels, labels) / n)
-        rows.append(
-            {
-                "n": n,
-                "p": p,
-                "zeta": zeta,
-                "epsilon": epsilon,
-                "reps": reps,
-                "sdp_err": float(np.mean(sdp_errs)),
-                "spectral_err": float(np.mean(spec_errs)),
-                "gap": float(abs(np.mean(sdp_errs) - np.mean(spec_errs))),
-            }
-        )
-    return rows
+    return [
+        _comparison_row(params, epsilon, reps, cfg, (seed, 13, ei))
+        for ei, epsilon in enumerate(eps_values)
+    ]
 
 
 def comparison_to_csv(rows, path):

@@ -24,7 +24,6 @@ class SdpConfig:
     max_iters: int = 300
     gap_tol: float = 1e-4  # certified duality gap, relative to 1 + |objective|
     restarts: int = 3
-    polish: bool = True
 
     def __post_init__(self):
         if self.rank is not None and self.rank < 2:
@@ -195,8 +194,7 @@ def sdp_estimate(graphs, cfg=None, seed=0):
     v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=2, keepdims=True), cfg)
     rounded = []
     for k in range(cfg.restarts):
-        labels = _signs(np.linalg.svd(v[:, k], full_matrices=False)[0][:, 0])
-        labels = _polish(m, labels) if cfg.polish else labels
+        labels = _polish(m, _signs(np.linalg.svd(v[:, k], full_matrices=False)[0][:, 0]))
         rounded.append((float(labels @ m @ labels), labels))
     k = max(range(cfg.restarts), key=lambda k: rounded[k][0])  # first maximum
     status = "converged" if certified[k] else "max_iters"

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from cbmdetect.cli import VERB_MAP, main
-from cbmdetect.io import read_graph_csv, write_stream_csv
+from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv
 from cbmdetect.model import TernaryGraph, pair_indices, parse_labels
+from cbmdetect.theory import info_numbers
 
 POST_CONFIG = {
     "scenario": {
@@ -182,10 +183,23 @@ def test_simulate_delay_summary(tmp_path, capsys):
     assert code == 0
     out1 = capsys.readouterr().out
     summary = json.loads(out1)
-    assert set(summary) == {"censored_fraction", "delay_ci", "mean_delay", "trials"}
+    assert set(summary) == {
+        "censored_fraction", "delay_ci", "mean_delay", "stationary_delay", "trials",
+    }
     assert summary["trials"] == 2
+    sc = scenario_from_config(POST_CONFIG["scenario"])
+    info = info_numbers(sc.pre, sc.post, sc.params_pre.p, sc.params_pre.zeta, epsilon=2.0)
+    assert summary["stationary_delay"] == 2.0 * POST_CONFIG["detector"]["b"] / info.i0_tilde
     assert main(["simulate", "--config", _write_config(tmp_path), "--seed", "2"]) == 0
     assert capsys.readouterr().out == out1
+
+
+def test_simulate_stationary_delay_with_full_reveal(tmp_path, capsys):
+    # an LDP detector scores the perturbed law, which is interior even at p = 1
+    config = json.loads(json.dumps(POST_CONFIG))
+    config["scenario"]["p"] = 1.0
+    assert main(["simulate", "--config", _write_config(tmp_path, config), "--seed", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["stationary_delay"] > 0
 
 
 def test_simulate_arl_summary(tmp_path, capsys):

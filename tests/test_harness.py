@@ -155,8 +155,16 @@ def test_default_truncation_from_threshold():
     assert report.censored_fraction == 1.0
 
 
-def test_parallel_matches_serial():
-    detector = {"kind": "LDP", "b": 1.0, "epsilon": 2.0, "estimator": "spectral"}
+@pytest.mark.parametrize(
+    "detector",
+    [
+        {"kind": "LDP", "b": 1.0, "epsilon": 2.0, "estimator": "spectral"},
+        {"kind": "LDP-adaptive", "b": 1.0, "epsilon": 2.0, "estimator": "spectral"},
+        {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "release": "assumed"},
+    ],
+    ids=["LDP", "LDP-adaptive", "CDP"],
+)
+def test_parallel_matches_serial(detector):
     sc = _scenario(n=10, nu=1, flips=(0, 1))
     serial = run_delay_trials(
         ExperimentConfig(scenario=sc, detector=detector, trials=4, truncation=8, seed=3)
@@ -171,6 +179,19 @@ def test_parallel_matches_serial():
         assert a["delay"] == b["delay"]
         assert a["stat"] == b["stat"]
         assert a["errors"] == b["errors"]
+
+
+def test_trajectory_matches_trial_zero():
+    detector = {"kind": "LDP", "b": 1.0, "epsilon": 2.0, "estimator": "spectral"}
+    sc = _scenario(n=10, nu=2, flips=(0, 1))
+    cfg = ExperimentConfig(scenario=sc, detector=detector, trials=2, truncation=12, seed=5)
+    row = run_delay_trials(cfg).rows[0]
+    traj = run_trajectory(sc, detector, truncation=12, seed=5)
+    assert len(traj) == row["samples"]
+    assert traj[-1]["t"] == row["steps"]
+    assert traj[-1]["stat"] == row["stat"]
+    assert traj[-1]["stopped"] == row["stopped"]
+    assert [r["hamming_est_vs_post"] for r in traj] == row["errors"]
 
 
 def test_delay_reproducible_and_error_series_present():

@@ -140,7 +140,7 @@ def test_sdp_config_rejects_nonpositive_gap_tol(gap_tol):
         SdpConfig(gap_tol=gap_tol)
 
 
-@pytest.mark.parametrize("field", ["step_rule", "step_size", "grad_tol"])
+@pytest.mark.parametrize("field", ["step_rule", "step_size", "grad_tol", "polish"])
 def test_sdp_config_has_no_step_knobs(field):
     with pytest.raises(TypeError):
         SdpConfig(**{field: 1})
