@@ -1,10 +1,11 @@
-"""Central-model mechanisms: Laplace noise and stability-gated label releases.
+"""Central-model mechanisms: stability-gated label releases.
 
-A release publishes estimated labels only when the estimate is insensitive
-to small edits of the graph: the edit distance to the nearest graph with a
-different estimate gets Laplace noise, and the labels come out only if the
-noisy distance clears log(1/delta)/epsilon. Otherwise the caller receives
-uniform random labels flagged as a non-release.
+Every release is one propose-test-release gate (`_gate`): a distance that
+says how many edits the estimate survives gets Lap(1/epsilon) noise, and the
+labels come out only if the noisy distance clears log(1/delta)/epsilon
+(`_bar`). Otherwise the caller receives uniform random labels flagged as a
+non-release. The three mechanisms differ only in that distance: exact by
+enumeration, estimated from edge subsamples, or assumed.
 """
 
 import itertools
@@ -14,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import LAPLACE, RELEASE, SUBSAMPLE, generator, laplace
-from .model import TernaryGraph, canonical, n_pairs, random_labels
-
-# the two symbols a pair can be edited to, per current value, fixed order
-_FOREIGN = {-1: (0, 1), 0: (-1, 1), 1: (-1, 0)}
-
-
-def laplace_sample(scale, seed):
-    """One Laplace(0, scale) draw from its own seeded stream."""
-    return laplace(generator(seed, LAPLACE), scale)
+from ._rng import RELEASE, SUBSAMPLE, generator, laplace
+from .model import FOREIGN, TernaryGraph, canonical, n_pairs, random_labels
 
 
 def _call_estimator(estimator, graph):
@@ -52,11 +45,10 @@ def distance_to_instability(graph, estimator, cap=None):
     original = graph.upper
     for edits in range(1, cap + 2):
         for positions in itertools.combinations(range(m), edits):
-            foreign = [_FOREIGN[int(original[pos])] for pos in positions]
             for choice in itertools.product((0, 1), repeat=edits):
                 mutated = original.copy()
-                for pos, pick, alts in zip(positions, choice, foreign):
-                    mutated[pos] = alts[pick]
+                for pos, pick in zip(positions, choice):
+                    mutated[pos] = FOREIGN[pick][original[pos] + 1]
                 est = _call_estimator(estimator, TernaryGraph(graph.n, mutated))
                 if not np.array_equal(est, base):
                     return edits - 1
@@ -76,8 +68,19 @@ class StabilityRelease:
     noisy_distance: float
 
 
-def _gate(noisy_distance, budget):
-    return noisy_distance > math.log(1.0 / budget.delta) / budget.epsilon
+def _bar(budget):
+    """log(1/delta)/epsilon, the noisy distance a release must clear; needs delta > 0."""
+    if budget.delta <= 0.0:
+        raise ValueError("stability release needs delta > 0")
+    return math.log(1.0 / budget.delta) / budget.epsilon
+
+
+def _gate(distance, bar, budget, rng, n, labels):
+    """Publish labels() iff distance + Lap(1/epsilon) clears bar; the thunk runs only then."""
+    noisy = distance + laplace(rng, 1.0 / budget.epsilon)
+    if noisy > bar:
+        return StabilityRelease(labels(), True, noisy)
+    return StabilityRelease(random_labels(n, rng), False, noisy)
 
 
 def stability_release(graph, budget, estimator, seed, cap=None):
@@ -87,14 +90,10 @@ def stability_release(graph, budget, estimator, seed, cap=None):
     exact enumeration above, so this form is for small n; see
     subsample_stability_release for the scalable variant.
     """
-    if budget.delta <= 0.0:
-        raise ValueError("stability release needs delta > 0")
+    bar = _bar(budget)
     d = distance_to_instability(graph, estimator, cap)
     rng = generator(seed, RELEASE)
-    noisy = d + laplace(rng, 1.0 / budget.epsilon)
-    if _gate(noisy, budget):
-        return StabilityRelease(_call_estimator(estimator, graph), True, noisy)
-    return StabilityRelease(random_labels(graph.n, rng), False, noisy)
+    return _gate(d, bar, budget, rng, graph.n, lambda: _call_estimator(estimator, graph))
 
 
 def subsample_stability_release(graph, budget, estimator, seed, max_subgraphs=None):
@@ -106,8 +105,7 @@ def subsample_stability_release(graph, budget, estimator, seed, max_subgraphs=No
     (gap/(4 m q) - 1). max_subgraphs truncates that count for desk-scale
     runs; doing so voids the privacy guarantee and warns accordingly.
     """
-    if budget.delta <= 0.0:
-        raise ValueError("stability release needs delta > 0")
+    bar = _bar(budget)
     n = graph.n
     q = budget.epsilon / (32.0 * math.log(n))
     if q >= 1.0:
@@ -136,10 +134,9 @@ def subsample_stability_release(graph, budget, estimator, seed, max_subgraphs=No
     top_key, top_count = ordered[0]
     runner_up = ordered[1][1] if len(ordered) > 1 else 0
     d_hat = (top_count - runner_up) / (4.0 * count * q) - 1.0
-    noisy = d_hat + laplace(rng, 1.0 / budget.epsilon)
-    if _gate(noisy, budget):
-        return StabilityRelease(np.frombuffer(top_key, dtype=np.int8).copy(), True, noisy)
-    return StabilityRelease(random_labels(n, rng), False, noisy)
+    return _gate(
+        d_hat, bar, budget, rng, n, lambda: np.frombuffer(top_key, dtype=np.int8).copy()
+    )
 
 
 def release_assuming_stable(graph, budget, estimator, seed, assumed_distance=None):
@@ -152,16 +149,11 @@ def release_assuming_stable(graph, budget, estimator, seed, assumed_distance=Non
     intractable. Default assumed distance sits 4/epsilon above the release
     bar (release probability about 0.99).
     """
-    if budget.delta <= 0.0:
-        raise ValueError("stability release needs delta > 0")
+    bar = _bar(budget)
     warnings.warn(
         "assumed-stability release is not differentially private",
         RuntimeWarning,
     )
-    bar = math.log(1.0 / budget.delta) / budget.epsilon
     d = assumed_distance if assumed_distance is not None else bar + 4.0 / budget.epsilon
     rng = generator(seed, RELEASE)
-    noisy = d + laplace(rng, 1.0 / budget.epsilon)
-    if _gate(noisy, budget):
-        return StabilityRelease(_call_estimator(estimator, graph), True, noisy)
-    return StabilityRelease(random_labels(graph.n, rng), False, noisy)
+    return _gate(d, bar, budget, rng, graph.n, lambda: _call_estimator(estimator, graph))

@@ -20,31 +20,26 @@ from .harness import (
 )
 from .io import (
     ingest_stream,
+    labels_from_config,
     load_experiment_json,
     read_graph_csv,
     scenario_from_config,
     write_graph_csv,
     write_trajectory_csv,
 )
-from .ldp import ldp_threshold_rhs, perturb_graph, perturbed_params
-from .likelihood import kl_divergence
-from .model import CbmParams, format_labels, parse_labels
+from .ldp import ldp_threshold_rhs, perturb_graph
+from .model import CbmParams, format_labels
 from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
 from .theory import (
     BoundReport,
     cdp_threshold_for_arl,
     converse_epsilon_lower,
+    info_numbers,
     min_window,
+    subsampled_stability_rhs,
 )
 
-_BALANCED = "balanced"
-
 _MODE_NAMES = {"ldp": "LDP", "cdp": "CDP", "ldp-adaptive": "LDP-adaptive"}
-
-
-def _balanced_labels(n):
-    half = (n + 1) // 2
-    return parse_labels("+" * half + "-" * (n - half))
 
 
 def _resolve_eps(args, n=None):
@@ -71,12 +66,9 @@ def _cmd_generate(args):
     from .model import sample_cbm
 
     params = _params_from_args(args)
-    if args.labels == _BALANCED:
-        labels = _balanced_labels(args.n)
-    else:
-        labels = parse_labels(args.labels)
-        if labels.size != args.n:
-            raise ValueError(f"labels have {labels.size} entries, expected n={args.n}")
+    labels = labels_from_config(args.labels, n=args.n)
+    if labels.size != args.n:
+        raise ValueError(f"labels have {labels.size} entries, expected n={args.n}")
     graph = sample_cbm(params, labels, args.seed)
     write_graph_csv(graph, args.out)
     print(f"wrote {args.out}: n={graph.n} edges={graph.edge_count}")
@@ -169,12 +161,11 @@ def _cmd_simulate(args):
         }
     else:
         report = run_delay_trials(cfg)
-        # stationary delay 2 b / I, I the post-vs-pre KL at the law the detector scores
-        # (info_numbers' i0 for CDP, i0_tilde for LDP); the raw law may have p = 1
-        law = (scenario.params_pre.p, scenario.params_pre.zeta)
-        if detector["kind"] != "CDP":
-            law = perturbed_params(*law, detector["epsilon"])
-        kl = kl_divergence(scenario.pre, scenario.post, *law)
+        # stationary delay 2 b / I, I the post-vs-pre KL at the law the detector
+        # scores: the raw law for CDP, the perturbed law for LDP
+        eps = None if detector["kind"] == "CDP" else detector["epsilon"]
+        pre = scenario.params_pre
+        kl = info_numbers(scenario.pre, scenario.post, pre.p, pre.zeta, eps).i0_tilde
         summary = {
             "censored_fraction": report.censored_fraction,
             "delay_ci": list(report.delay_ci),
@@ -205,7 +196,7 @@ def _cmd_threshold(args):
         if eps is None or args.n is None:
             raise ValueError("--thm 3 needs --n and --eps/--eps-log-n")
         name = "subsampled-stability-rhs"
-        value = max(32.0 * math.log(args.n) / eps, 1.0)
+        value = subsampled_stability_rhs(args.n, eps)
     elif args.thm == 5:
         if args.n is None or args.a is None or args.zeta is None:
             raise ValueError("--thm 5 needs --n, --a, and --zeta")
@@ -285,7 +276,7 @@ def build_parser():
     p.add_argument("--a", type=float, default=None, help="signal scale, p = a ln(n)/n")
     p.add_argument("--p", type=float, default=None, help="edge observation probability")
     p.add_argument("--zeta", type=float, required=True, help="sign flip probability")
-    p.add_argument("--labels", default=_BALANCED, help="'balanced' or a +- string")
+    p.add_argument("--labels", default="balanced", help="'balanced' or a +- string")
     p.add_argument("--seed", type=int, required=True, help="sampling seed")
     p.add_argument("--out", required=True, help="output graph CSV path")
 

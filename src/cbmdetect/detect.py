@@ -40,7 +40,6 @@ class DetectorConfig:
     estimator: str = "sdp"  # sdp | spectral | fixed
     sdp: SdpConfig = field(default_factory=SdpConfig)
     window: int = 1  # estimate from the last `window` graphs
-    seed_first: bool = True  # first sample only seeds the estimate
     seed: int = 0  # solver randomness (restarts, degenerate fallbacks)
 
     def __post_init__(self):
@@ -112,10 +111,10 @@ def _advance(state, graph, cfg, score):
     """Score unless seeding, then re-estimate sigma_hat from the last `window` graphs.
 
     A scored step sets stat <- max(stat + score(), 0) and t <- t + 1. score is
-    a thunk, so the seed-only first step (cfg.seed_first on a fresh state)
-    never evaluates it and leaves stat and t alone.
+    a thunk, so the seed-only first step (a fresh state) never evaluates it
+    and leaves stat and t alone.
     """
-    if not (cfg.seed_first and _is_fresh(state)):
+    if not _is_fresh(state):
         state = replace(state, stat=max(state.stat + score(), 0.0), t=state.t + 1)
     buffer = (state.buffer + (graph,))[-cfg.window :]
     return replace(state, sigma_hat=_estimate(buffer, cfg, state.sigma_hat, state.t), buffer=buffer)
@@ -126,9 +125,9 @@ def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
 
     Scores the log-ratio of the new graph under sigma_hat versus the
     pre-change labels at the perturbed-law parameters, rectifies at zero,
-    then re-estimates sigma_hat from the last `window` graphs. With
-    cfg.seed_first (default) the very first graph is only absorbed into the
-    estimate; nothing is scored and t stays 0.
+    then re-estimates sigma_hat from the last `window` graphs. The very
+    first graph is only absorbed into the estimate; nothing is scored and t
+    stays 0.
     """
     pre = canonical(pre_labels, new_graph.n)
     return _advance(

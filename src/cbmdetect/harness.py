@@ -112,7 +112,6 @@ def _detector_cfg(spec, trial_seed):
         estimator=spec.get("estimator", "sdp"),
         sdp=_sdp_cfg(spec),
         window=spec.get("window", 1),
-        seed_first=spec.get("seed_first", True),
         seed=derive_seed(trial_seed, 9),
     )
 
@@ -196,18 +195,28 @@ _RUNNERS = {
     "CDP": _CdpRunner,
 }
 
+# every key a descriptor may carry, for any kind
+_DESCRIPTOR_KEYS = {
+    "kind", "b", "epsilon", "estimator", "window", "restarts", "rank", "max_iters",
+    "delta", "release", "release_estimator", "assumed_distance", "distance_cap", "max_subgraphs",
+}
+
 
 def make_runner(scenario, detector, trial_seed):
     """Instantiate the stepping object for one trial.
 
     Descriptor dicts need kind (LDP | LDP-adaptive | CDP), b, epsilon, and
-    accept estimator/window/restarts/rank/max_iters/seed_first plus, for
-    CDP, delta and release = assumed | stability | subsample with
-    release_estimator, assumed_distance, distance_cap, max_subgraphs.
-    restarts/rank/max_iters set every SDP solve, the release's included.
+    accept estimator/window/restarts/rank/max_iters plus, for CDP, delta and
+    release = assumed | stability | subsample with release_estimator,
+    assumed_distance, distance_cap, max_subgraphs. restarts/rank/max_iters
+    set every SDP solve, the release's included. Any other key raises
+    ValueError, so a misspelt key cannot fall back to a default.
     """
     if callable(detector):
         return detector(scenario, trial_seed)
+    unknown = sorted(set(detector) - _DESCRIPTOR_KEYS)
+    if unknown:
+        raise ValueError(f"unknown detector descriptor keys {unknown}")
     kind = detector["kind"]
     if kind not in _RUNNERS:
         raise ValueError(f"unknown detector kind {kind!r}")

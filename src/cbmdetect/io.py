@@ -1,9 +1,11 @@
 """File formats: graph and stream CSV, trajectory CSV, experiment JSON.
 
 Graph files: first line `n=<nodes>`, then one `i,j,w` row per revealed pair
-with 0-based i < j and w in {-1, +1}; absent pairs are 0. Stream files are
-the same with a leading timestep column `t,i,j,w`. Writers emit rows in
-sorted order so write -> read -> write is byte-identical.
+with 0-based i < j and w in {-1, +1}; absent pairs are 0. A stream file is a
+graph file with a leading timestep column, `t,i,j,w`, so one parser and one
+writer serve both: a graph file reads as a stream whose rows all sit at
+t = 0. Writers emit rows in sorted order so write -> read -> write is
+byte-identical.
 """
 
 import json
@@ -11,7 +13,9 @@ import math
 
 import numpy as np
 
-from .model import CbmParams, ChangeScenario, TernaryGraph, n_pairs, pair_indices, parse_labels
+from .model import (
+    CbmParams, ChangeScenario, TernaryGraph, n_pairs, pair_indices, pair_pos, parse_labels,
+)
 
 
 def _parse_header(line, lineno, path):
@@ -46,38 +50,53 @@ def _check_entry(i, j, w, n, lineno, path):
         raise ValueError(f"{path}:{lineno}: weight must be -1 or +1, got {w}")
 
 
-def _pair_pos(i, j, n):
-    # row-major position of (i, j), i < j, in the upper triangle
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def write_graph_csv(graph, path):
-    i_idx, j_idx = pair_indices(graph.n)
-    with open(path, "w") as fh:
-        fh.write(f"n={graph.n}\n")
-        for i, j, w in zip(i_idx, j_idx, graph.upper):
-            if w != 0:
-                fh.write(f"{i},{j},{w}\n")
-
-
-def read_graph_csv(path):
+def _read_rows(path, fields):
+    """(n, {t: upper}) from a graph file (3 fields, t = 0) or a stream file (4 fields)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file, expected an n= header")
     n = _parse_header(lines[0], 1, path)
-    upper = np.zeros(n_pairs(n), dtype=np.int8)
-    seen = set()
+    uppers: dict[int, np.ndarray] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        i, j, w = _parse_fields(line, lineno, path, 3)
+        row = _parse_fields(line, lineno, path, fields)
+        t, i, j, w = row if fields == 4 else (0, *row)
         _check_entry(i, j, w, n, lineno, path)
-        if (i, j) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate pair ({i},{j})")
-        seen.add((i, j))
-        upper[_pair_pos(i, j, n)] = w
-    return TernaryGraph(n, upper)
+        if t < 0:
+            raise ValueError(f"{path}:{lineno}: timestep must be >= 0, got {t}")
+        upper = uppers.get(t)
+        if upper is None:
+            upper = uppers[t] = np.zeros(n_pairs(n), dtype=np.int8)
+        pos = pair_pos(i, j, n)
+        # a written weight is never 0, so a nonzero slot means a repeated row
+        if upper[pos]:
+            at = f" at t={t}" if fields == 4 else ""
+            raise ValueError(f"{path}:{lineno}: duplicate pair ({i},{j}){at}")
+        upper[pos] = w
+    return n, uppers
+
+
+def _write_rows(path, n, timed_graphs):
+    """Header, then one `t,i,j,w` row per revealed pair; t is left out when None."""
+    i_idx, j_idx = pair_indices(n)
+    with open(path, "w") as fh:
+        fh.write(f"n={n}\n")
+        for t, g in timed_graphs:
+            lead = "" if t is None else f"{t},"
+            nz = np.flatnonzero(g.upper)
+            for i, j, w in zip(i_idx[nz].tolist(), j_idx[nz].tolist(), g.upper[nz].tolist()):
+                fh.write(f"{lead}{i},{j},{w}\n")
+
+
+def write_graph_csv(graph, path):
+    _write_rows(path, graph.n, [(None, graph)])
+
+
+def read_graph_csv(path):
+    n, uppers = _read_rows(path, 3)
+    return TernaryGraph(n, uppers[0]) if uppers else TernaryGraph.zero(n)
 
 
 def write_stream_csv(graphs, path, times=None):
@@ -91,15 +110,9 @@ def write_stream_csv(graphs, path, times=None):
     if not graphs:
         raise ValueError("need at least one graph to fix n in the header")
     n = graphs[0].n
-    i_idx, j_idx = pair_indices(n)
-    with open(path, "w") as fh:
-        fh.write(f"n={n}\n")
-        for t, g in sorted(zip(times, graphs), key=lambda tg: tg[0]):
-            if g.n != n:
-                raise ValueError("stream graphs must share n")
-            for i, j, w in zip(i_idx, j_idx, g.upper):
-                if w != 0:
-                    fh.write(f"{t},{i},{j},{w}\n")
+    if any(g.n != n for g in graphs):
+        raise ValueError("stream graphs must share n")
+    _write_rows(path, n, sorted(zip(times, graphs), key=lambda tg: tg[0]))
 
 
 def ingest_stream(path):
@@ -110,26 +123,7 @@ def ingest_stream(path):
     out-of-range pairs, weights outside {-1, +1}, and duplicate (t, i, j)
     rows raise with the offending line number.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty file, expected an n= header")
-    n = _parse_header(lines[0], 1, path)
-    uppers: dict[int, np.ndarray] = {}
-    seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        t, i, j, w = _parse_fields(line, lineno, path, 4)
-        _check_entry(i, j, w, n, lineno, path)
-        if t < 0:
-            raise ValueError(f"{path}:{lineno}: timestep must be >= 0, got {t}")
-        if (t, i, j) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate pair ({i},{j}) at t={t}")
-        seen.add((t, i, j))
-        if t not in uppers:
-            uppers[t] = np.zeros(n_pairs(n), dtype=np.int8)
-        uppers[t][_pair_pos(i, j, n)] = w
+    n, uppers = _read_rows(path, 4)
     return [TernaryGraph(n, uppers[t]) for t in sorted(uppers)]
 
 
@@ -150,7 +144,8 @@ def write_trajectory_csv(rows, path):
             )
 
 
-def _labels_from_config(value, n=None, base=None):
+def labels_from_config(value, n=None, base=None):
+    """Labels from a spec: 'balanced' (needs n), a +- string, or {'flip': [...]} (needs base)."""
     if isinstance(value, str):
         if value == "balanced":
             if n is None:
@@ -181,8 +176,8 @@ def scenario_from_config(payload):
         params_pre = CbmParams.from_scale(n, payload["a"], zeta)
     else:
         params_pre = CbmParams(n=n, p=payload["p"], zeta=zeta)
-    pre = _labels_from_config(payload["pre"], n=n)
-    post = _labels_from_config(payload["post"], n=n, base=pre)
+    pre = labels_from_config(payload["pre"], n=n)
+    post = labels_from_config(payload["post"], n=n, base=pre)
     nu = payload.get("nu", 1)
     if nu == "inf":
         nu = math.inf

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PERTURB, generator
-from .model import TernaryGraph, n_pairs
+from .model import FOREIGN, TernaryGraph, n_pairs
 
 # beyond this exp(eps) overflows float64; the mechanism is numerically the
 # identity long before that point
 EPS_IDENTITY = 700.0
-
-# the two foreign symbols for each symbol x, in a fixed order, indexed by x + 1
-_ALT1 = np.array([0, -1, -1], dtype=np.int8)
-_ALT2 = np.array([1, 1, 0], dtype=np.int8)
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,7 @@ def perturb_graph(graph, epsilon, seed):
     x = graph.upper
     idx = x + 1
     out = np.where(
-        u < probs.keep, x, np.where(u < probs.keep + probs.switch, _ALT1[idx], _ALT2[idx])
+        u < probs.keep, x, np.where(u < probs.keep + probs.switch, FOREIGN[0][idx], FOREIGN[1][idx])
     )
     return TernaryGraph(graph.n, out)
 

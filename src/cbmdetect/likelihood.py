@@ -8,9 +8,7 @@ the log-ratio equal to a difference of log-likelihoods.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import n_pairs, quad_form, validate_labels
+from .model import hamming, n_pairs, quad_form, validate_labels
 
 ZETA_CLAMP = 1e-6
 
@@ -52,19 +50,22 @@ def log_likelihood_ratio(graph, labels_num, labels_den, p, zeta):
     return 0.25 * flip_gap(zeta) * (q_num - q_den)
 
 
+def disagreeing_pairs(labels_a, labels_b):
+    """Pairs i < j whose label product differs: exactly one end among the h disagreeing nodes."""
+    h = hamming(labels_a, labels_b)
+    return h * (len(labels_a) - h)
+
+
 def kl_divergence(labels_a, labels_b, p, zeta):
     """KL divergence between the graph laws of two labelings at (p, zeta).
 
-    Equals (1/2) log((1-zeta)/zeta) * p * (1-2 zeta) * (#pairs whose label
-    product differs) * 2, and is symmetric in its label arguments.
+    Equals log((1-zeta)/zeta) * p * (1-2 zeta) * (#pairs whose label product
+    differs), and is symmetric in its label arguments. Finite on all of
+    0 <= p <= 1; zeta must lie in (0, 1/2).
     """
-    _check_interior(p, zeta)
-    a = validate_labels(labels_a)
-    b = validate_labels(labels_b, a.shape[0])
-    n = a.shape[0]
-    dot = int(a @ b.astype(np.int64))
-    c_ab = (dot * dot - n) // 2
-    return 0.5 * flip_gap(zeta) * p * (1.0 - 2.0 * zeta) * (n_pairs(n) - c_ab)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    return flip_gap(zeta) * p * (1.0 - 2.0 * zeta) * disagreeing_pairs(labels_a, labels_b)
 
 
 @dataclass(frozen=True)
@@ -75,23 +76,17 @@ class MleParams:
 
 
 def mle_params(graph, labels):
-    """Closed-form ML fit of (p, zeta) given labels.
-
-    p_hat is the revealed fraction; zeta_hat = 1/2 - sigma^T A sigma /
-    (4 * edge count), clamped into [1e-6, 1/2 - 1e-6]. A graph with no
-    revealed pair cannot identify zeta: returns (0, 1/4) flagged degenerate.
-    """
-    labels = validate_labels(labels, graph.n)
-    et = graph.edge_count
-    if et == 0:
-        return MleParams(0.0, 0.25, True)
-    z = 0.5 - quad_form(graph, labels) / (4.0 * et)
-    z = min(max(z, ZETA_CLAMP), 0.5 - ZETA_CLAMP)
-    return MleParams(et / n_pairs(graph.n), z, False)
+    """Closed-form ML fit of (p, zeta) given labels: mle_params_pooled on one graph."""
+    return mle_params_pooled([graph], labels)
 
 
 def mle_params_pooled(graphs, labels):
-    """ML fit of (p, zeta) from several graphs sharing one labeling."""
+    """Closed-form ML fit of (p, zeta) from graphs sharing one labeling.
+
+    p_hat is the revealed fraction; zeta_hat = 1/2 - sum sigma^T A sigma /
+    (4 * edge count), clamped into [1e-6, 1/2 - 1e-6]. Graphs with no
+    revealed pair cannot identify zeta: returns (0, 1/4) flagged degenerate.
+    """
     graphs = list(graphs)
     if not graphs:
         raise ValueError("need at least one graph")

@@ -19,6 +19,9 @@ from ._rng import SAMPLE, generator
 
 _PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# the two symbols other than x, in a fixed order, indexed by x + 1
+FOREIGN = (np.array([0, -1, -1], dtype=np.int8), np.array([1, 1, 0], dtype=np.int8))
+
 
 def n_pairs(n):
     return n * (n - 1) // 2
@@ -29,6 +32,11 @@ def pair_indices(n):
     if n not in _PAIR_CACHE:
         _PAIR_CACHE[n] = np.triu_indices(n, k=1)
     return _PAIR_CACHE[n]
+
+
+def pair_pos(i, j, n):
+    """Position of pair (i, j), i < j, in the row-major upper triangle."""
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
 def validate_labels(labels, n=None):

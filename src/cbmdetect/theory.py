@@ -10,9 +10,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .likelihood import flip_gap, kl_divergence
+from .likelihood import disagreeing_pairs, flip_gap, kl_divergence
 from .ldp import ldp_recovery_margin, ldp_threshold_rhs, perturbed_params
-from .model import n_pairs, validate_labels
+from .model import n_pairs
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,15 @@ def converse_epsilon_lower(n, a, zeta):
 def ldp_kl_upper(pre, post, p, zeta, epsilon):
     """Data-processing ceiling on the perturbed KL, any edge-LDP mechanism.
 
-    min{4, e^(2 eps)} * (e^eps - 1)^2 * p^2 (1-2 zeta)^2 * (pair term).
+    min{4, e^(2 eps)} * (e^eps - 1)^2 * p^2 (1-2 zeta)^2 * (pair term), the
+    pair term being twice the number of pairs whose label product differs.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    pre = validate_labels(pre)
-    post = validate_labels(post, pre.shape[0])
-    n = pre.shape[0]
+    pair_term = 2 * disagreeing_pairs(pre, post)
     if epsilon > 350.0:
         return math.inf
     c_eps = 4.0 if epsilon >= math.log(2.0) else math.exp(2.0 * epsilon)
-    dot = int(pre.astype(int) @ post.astype(int))
-    pair_term = n_pairs(n) - (dot * dot - n) // 2
     return c_eps * math.expm1(epsilon) ** 2 * p * p * (1.0 - 2.0 * zeta) ** 2 * pair_term
 
 
@@ -219,6 +216,11 @@ def window_crossover_epsilon(n, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def subsampled_stability_rhs(n, epsilon):
+    """Signal the subsampled stability release needs: max(32 log n / eps, 1)."""
+    return max(32.0 * math.log(n) / epsilon, 1.0)
+
+
 def recovery_thresholds(a, zeta, epsilon, n):
     """Threshold reports for the three recovery mechanisms at (a, zeta, eps, n).
 
@@ -233,6 +235,7 @@ def recovery_thresholds(a, zeta, epsilon, n):
     base = {"a": a, "zeta": zeta, "epsilon": epsilon, "n": n, "signal": signal}
     margin, precondition_ok = ldp_recovery_margin(a, zeta, epsilon, n)
     rhs = ldp_threshold_rhs(epsilon, n)
+    sub_rhs = subsampled_stability_rhs(n, epsilon)
     reports = [
         BoundReport(
             "graph-perturbation",
@@ -249,10 +252,6 @@ def recovery_thresholds(a, zeta, epsilon, n):
             1.0,
             dict(base, margin=signal - 1.0, side_condition_ok=a > 3.0 / epsilon),
         ),
-        BoundReport(
-            "subsampled-stability",
-            max(32.0 * math.log(n) / epsilon, 1.0),
-            dict(base, margin=signal - max(32.0 * math.log(n) / epsilon, 1.0)),
-        ),
+        BoundReport("subsampled-stability", sub_rhs, dict(base, margin=signal - sub_rhs)),
     ]
     return reports

@@ -176,6 +176,10 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
     config = dict(POST_CONFIG, detector={"b": 1.0, "epsilon": 2.0})
     assert main(["detect", "--config", _write_config(tmp_path, config), "--seed", "0"]) == 2
     assert "kind" in capsys.readouterr().err
+    # a misspelt key is refused, not ignored
+    config = dict(POST_CONFIG, detector={**POST_CONFIG["detector"], "windw": 17})
+    assert main(["detect", "--config", _write_config(tmp_path, config), "--seed", "0"]) == 2
+    assert "windw" in capsys.readouterr().err
 
 
 def test_simulate_delay_summary(tmp_path, capsys):

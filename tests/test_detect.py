@@ -67,13 +67,10 @@ def test_first_sample_only_seeds():
     assert np.array_equal(state.sigma_hat, POST)
 
 
-def test_seed_first_off_scores_immediately():
-    cfg = DetectorConfig(estimator="fixed", seed_first=False)
-    state = init_detector(PRE, "LDP")
-    state = ldp_step(state, _pattern_graph(POST), PRE, 0.6, 0.38, cfg)
-    assert state.t == 1
-    # fixed estimator keeps sigma_hat at PRE, so the first score is 0 - 0
-    assert state.stat == 0.0
+def test_detector_config_has_no_seed_first_knob():
+    # the first graph always only seeds the estimate (test_first_sample_only_seeds)
+    with pytest.raises(TypeError):
+        DetectorConfig(seed_first=False)
 
 
 def test_scored_increment_is_the_log_ratio():

@@ -132,6 +132,38 @@ def test_make_runner_kinds():
     assert isinstance(make_runner(sc, StopAtThree, trial_seed=0), StopAtThree)
 
 
+def test_make_runner_rejects_unknown_descriptor_keys():
+    base = {"kind": "LDP", "b": 1.0, "epsilon": 2.0}
+    with pytest.raises(ValueError, match="windw"):
+        make_runner(_scenario(), {**base, "windw": 17}, trial_seed=0)
+    with pytest.raises(ValueError, match="seed_first"):
+        make_runner(_scenario(), {**base, "seed_first": False}, trial_seed=0)
+
+
+@pytest.mark.parametrize(
+    "release",
+    [
+        {"release": "stability", "release_estimator": "ml", "distance_cap": 1},
+        {"release": "subsample", "max_subgraphs": 5},
+    ],
+    ids=["stability", "subsample"],
+)
+def test_cdp_release_routes_run_a_campaign(release):
+    detector = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": 0.05, **release}
+    cfg = ExperimentConfig(
+        scenario=_scenario(n=4, nu=1), detector=detector, trials=4, truncation=8, seed=0
+    )
+    if release["release"] == "subsample":
+        with pytest.warns(RuntimeWarning, match="NOT"):
+            first = run_delay_trials(cfg)
+        with pytest.warns(RuntimeWarning):
+            second = run_delay_trials(cfg)
+    else:
+        first, second = run_delay_trials(cfg), run_delay_trials(cfg)
+    assert first.rows == second.rows
+    assert first.censored_fraction == 0.0
+
+
 def test_sdp_settings_come_from_the_descriptor(monkeypatch):
     sc = _scenario()
     base = {"kind": "LDP", "b": 1.0, "epsilon": 2.0}

@@ -104,6 +104,8 @@ def test_write_stream_validation(tmp_path):
         write_stream_csv([g], tmp_path / "s.csv", times=[1, 2])
     with pytest.raises(ValueError):
         write_stream_csv([g, TernaryGraph.zero(4)], tmp_path / "s.csv")
+    # graphs are checked before the file is opened: no truncated file is left
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_trajectory_csv(tmp_path):

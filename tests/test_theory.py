@@ -39,6 +39,21 @@ def test_info_numbers_reference_point():
     assert plain.i0_tilde == plain.i0
 
 
+def test_info_numbers_finite_at_full_reveal():
+    # the KL closed form is finite at p = 1; only zeta must be interior
+    info = info_numbers(PRE50, POST50, 1.0, 0.1, 1.5)
+    assert 0.0 < info.i0_tilde < info.i0 < math.inf
+    np.testing.assert_allclose(
+        kl_divergence(PRE50, POST50, 1.0, 0.1),
+        kl_divergence(PRE50, POST50, 1.0 - 1e-12, 0.1),
+        rtol=1e-9,
+    )
+    assert kl_divergence(PRE50, POST50, 0.0, 0.1) == 0.0
+    for p, zeta in ((1.5, 0.1), (-0.1, 0.1), (0.5, 0.0), (0.5, 0.5)):
+        with pytest.raises(ValueError):
+            kl_divergence(PRE50, POST50, p, zeta)
+
+
 def test_info_numbers_perturbation_contracts():
     params = CbmParams.from_scale(50, 5.0, 0.1)
     for eps in (0.5, 1.0, 2.0, 5.0):
