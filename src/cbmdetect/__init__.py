@@ -80,7 +80,6 @@ from .model import (
 )
 from .recovery import (
     RecoveryResult,
-    SdpConfig,
     ml_exhaustive,
     sdp_estimate,
     spectral_estimate,

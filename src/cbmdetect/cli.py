@@ -29,7 +29,7 @@ from .io import (
 )
 from .ldp import ldp_threshold_rhs, perturb_graph
 from .model import CbmParams, format_labels
-from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
+from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 from .theory import (
     BoundReport,
     cdp_threshold_for_arl,
@@ -89,7 +89,7 @@ def _cmd_perturb(args):
 def _cmd_recover(args):
     graph = read_graph_csv(args.infile)
     if args.estimator == "sdp":
-        result = sdp_estimate(graph, SdpConfig(restarts=args.restarts), seed=args.seed)
+        result = sdp_estimate(graph, seed=args.seed)
     elif args.estimator == "spectral":
         result = spectral_estimate(graph, seed=args.seed)
     elif args.estimator == "ml":
@@ -128,7 +128,7 @@ def _cmd_detect(args):
     payload = load_experiment_json(args.config)
     scenario = scenario_from_config(payload["scenario"])
     detector = _detector_from_config(payload, args)
-    truncation = args.truncation or payload.get("truncation", 200)
+    truncation = args.truncation if args.truncation is not None else payload.get("truncation", 200)
     stream = ingest_stream(args.stream) if args.stream else None
     rows = run_trajectory(scenario, detector, truncation, args.seed, stream=stream)
     if args.out:
@@ -147,8 +147,8 @@ def _cmd_simulate(args):
     cfg = ExperimentConfig(
         scenario=scenario,
         detector=detector,
-        trials=args.trials or payload.get("trials", 100),
-        truncation=args.truncation or payload.get("truncation"),
+        trials=args.trials if args.trials is not None else payload.get("trials", 100),
+        truncation=args.truncation if args.truncation is not None else payload.get("truncation"),
         seed=args.seed,
         parallelism=args.parallelism,
     )
@@ -292,7 +292,6 @@ def build_parser():
         "--estimator", choices=("sdp", "spectral", "ml"), default="sdp",
         help="label estimator",
     )
-    p.add_argument("--restarts", type=int, default=3, help="solver restarts")
     p.add_argument("--seed", type=int, required=True, help="solver seed")
 
     p = sub.add_parser("detect", help="run one detector trajectory")

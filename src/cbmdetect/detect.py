@@ -12,7 +12,7 @@ raw, estimates pass through a gated release mechanism, and the reported
 statistic carries Laplace noise against a noisy threshold.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .likelihood import (
     mle_params_pooled,
 )
 from .model import canonical
-from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
+from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 
 MODES = ("LDP", "CDP", "LDP-adaptive")
 
@@ -38,7 +38,6 @@ class DetectorConfig:
     """How the running community estimate is formed."""
 
     estimator: str = "sdp"  # sdp | spectral | fixed
-    sdp: SdpConfig = field(default_factory=SdpConfig)
     window: int = 1  # estimate from the last `window` graphs
     seed: int = 0  # solver randomness (restarts, degenerate fallbacks)
 
@@ -99,7 +98,7 @@ def _estimate(buffer, cfg, current, step):
     graphs = list(buffer)
     seed = derive_seed(cfg.seed, SOLVER, step)
     if cfg.estimator == "sdp":
-        return canonical(sdp_estimate(graphs, cfg.sdp, seed).labels)
+        return canonical(sdp_estimate(graphs, seed).labels)
     return canonical(spectral_estimate(graphs, seed=seed).labels)
 
 
@@ -241,22 +240,22 @@ def _majority(label_list):
     return canonical(np.where(total >= 0, 1, -1).astype(np.int8))
 
 
-def estimate_prechange_ldp(historical, epsilon, seed, cfg=None):
+def estimate_prechange_ldp(historical, epsilon, seed):
     """Fit the pre-change labels and perturbed-law parameters, privately.
 
     Each historical graph is perturbed (edge randomized response), labels
     are estimated per perturbed graph and majority-voted, and (p, zeta) are
     ML-fit on the pooled perturbed graphs. Returned parameters describe the
-    perturbed law, which is what the LDP detector scores against.
+    perturbed law, which is what the LDP detector scores against. Labels
+    come from the default (SDP) estimator.
     """
-    cfg = cfg or DetectorConfig()
     graphs = list(historical)
     if not graphs:
         raise ValueError("need at least one historical graph")
     perturbed = [
         perturb_graph(g, epsilon, derive_seed(seed, 0, k)) for k, g in enumerate(graphs)
     ]
-    labs = [_estimate((g,), cfg, None, 1 + k) for k, g in enumerate(perturbed)]
+    labs = [_estimate((g,), DetectorConfig(), None, 1 + k) for k, g in enumerate(perturbed)]
     maj = _majority(labs)
     fit = mle_params_pooled(perturbed, maj)
     return PrechangeEstimate(maj, fit.p_hat, fit.zeta_hat, fit.degenerate)

@@ -37,7 +37,7 @@ from .detect import (
 )
 from .ldp import PrivacyBudget, ldp_recovery_margin, perturb_graph, perturbed_params
 from .model import CbmParams, ChangeScenario, err, random_labels, sample_cbm
-from .recovery import SdpConfig, ml_exhaustive, sdp_estimate, spectral_estimate
+from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 
 __all__ = [
     "ExperimentConfig",
@@ -102,15 +102,9 @@ def _mean_ci(values):
     return mean, (mean - half, mean + half)
 
 
-def _sdp_cfg(spec):
-    """SdpConfig from a descriptor's rank/restarts/max_iters; SdpConfig defaults otherwise."""
-    return SdpConfig(**{k: spec[k] for k in ("rank", "restarts", "max_iters") if k in spec})
-
-
 def _detector_cfg(spec, trial_seed):
     return DetectorConfig(
         estimator=spec.get("estimator", "sdp"),
-        sdp=_sdp_cfg(spec),
         window=spec.get("window", 1),
         seed=derive_seed(trial_seed, 9),
     )
@@ -121,8 +115,7 @@ def _release_estimator(spec):
     if name == "ml":
         return ml_exhaustive
     if name == "sdp":
-        cfg = _sdp_cfg(spec)
-        return lambda g: sdp_estimate(g, cfg, seed=0)
+        return lambda g: sdp_estimate(g, seed=0)
     if name == "spectral":
         return lambda g: spectral_estimate(g, seed=0)
     raise ValueError(f"unknown release estimator {name!r}")
@@ -132,8 +125,7 @@ def _mechanism(spec):
     kind = spec.get("release", "assumed")
     est = _release_estimator(spec)
     if kind == "assumed":
-        assumed = spec.get("assumed_distance")
-        return lambda g, b, s: release_assuming_stable(g, b, est, s, assumed_distance=assumed)
+        return lambda g, b, s: release_assuming_stable(g, b, est, s)
     if kind == "stability":
         cap = spec.get("distance_cap")
         return lambda g, b, s: stability_release(g, b, est, s, cap=cap)
@@ -197,8 +189,8 @@ _RUNNERS = {
 
 # every key a descriptor may carry, for any kind
 _DESCRIPTOR_KEYS = {
-    "kind", "b", "epsilon", "estimator", "window", "restarts", "rank", "max_iters",
-    "delta", "release", "release_estimator", "assumed_distance", "distance_cap", "max_subgraphs",
+    "kind", "b", "epsilon", "estimator", "window",
+    "delta", "release", "release_estimator", "distance_cap", "max_subgraphs",
 }
 
 
@@ -206,11 +198,10 @@ def make_runner(scenario, detector, trial_seed):
     """Instantiate the stepping object for one trial.
 
     Descriptor dicts need kind (LDP | LDP-adaptive | CDP), b, epsilon, and
-    accept estimator/window/restarts/rank/max_iters plus, for CDP, delta and
-    release = assumed | stability | subsample with release_estimator,
-    assumed_distance, distance_cap, max_subgraphs. restarts/rank/max_iters
-    set every SDP solve, the release's included. Any other key raises
-    ValueError, so a misspelt key cannot fall back to a default.
+    accept estimator/window plus, for CDP, delta and release = assumed |
+    stability | subsample with release_estimator, distance_cap,
+    max_subgraphs. SDP solves use recovery's fixed settings. Any other key
+    raises ValueError, so a misspelt key cannot fall back to a default.
     """
     if callable(detector):
         return detector(scenario, trial_seed)
@@ -335,6 +326,8 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     hamming column is -1 (true post labels unknowable); otherwise samples
     are drawn from the scenario.
     """
+    if truncation < 1:
+        raise ValueError("truncation must be >= 1")
     trial_seed = derive_seed(seed, TRIAL, 0)
     graphs = stream if stream is not None else _drawn(scenario, trial_seed, truncation)
     rows = []
@@ -353,20 +346,14 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     return rows
 
 
-def theorem_boundary_a(zeta, epsilon, n, tol=1e-6):
-    """Signal strength a where the one-shot recovery margin crosses zero."""
-    lo, hi = 1e-9, 1.0
-    while ldp_recovery_margin(hi, zeta, epsilon, n)[0] <= 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("no recovery boundary found below a=1e12")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if ldp_recovery_margin(mid, zeta, epsilon, n)[0] <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def theorem_boundary_a(zeta, epsilon, n):
+    """Signal strength a where the one-shot recovery margin crosses zero.
+
+    The margin a (sqrt(1-zeta) - sqrt(zeta))^2 - rhs(eps, n) is linear in a,
+    so its root is -margin(0) over the slope.
+    """
+    margin_at_zero = ldp_recovery_margin(0.0, zeta, epsilon, n)[0]
+    return -margin_at_zero / (math.sqrt(1.0 - zeta) - math.sqrt(zeta)) ** 2
 
 
 @dataclass
@@ -388,14 +375,16 @@ def _one_shot(params, epsilon, child):
     return labels, perturb_graph(raw, epsilon, derive_seed(child, 2))
 
 
-def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=0, restarts=3):
-    """One-shot recovery rate from a single perturbed graph per cell."""
+def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=0):
+    """One-shot recovery rate from a single perturbed graph per cell (estimator sdp | spectral)."""
     a_values = list(a_values)
     zeta_values = list(zeta_values)
     if not a_values or not zeta_values:
         raise ValueError("both grids must be nonempty")
+    if estimator not in ("sdp", "spectral"):
+        raise ValueError(f"unknown estimator {estimator!r}")
+    solve = sdp_estimate if estimator == "sdp" else spectral_estimate
     rates = np.zeros((len(a_values), len(zeta_values)))
-    cfg = SdpConfig(restarts=restarts)
     for ai, a in enumerate(a_values):
         for zi, zeta in enumerate(zeta_values):
             params = CbmParams.from_scale(n, a, zeta)
@@ -403,10 +392,7 @@ def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=
             for rep in range(trials):
                 child = derive_seed(seed, 11, zi, ai, rep)
                 labels, fed = _one_shot(params, epsilon, child)
-                if estimator == "sdp":
-                    est = sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels
-                else:
-                    est = spectral_estimate(fed, seed=derive_seed(child, 3)).labels
+                est = solve(fed, seed=derive_seed(child, 3)).labels
                 hits += err(est, labels) == 0
             rates[ai, zi] = hits / trials
     boundary = [theorem_boundary_a(zeta, epsilon, n) for zeta in zeta_values]
@@ -421,14 +407,14 @@ def phase_grid_to_csv(grid, path):
                 fh.write(f"{a:.10g},{zeta:.10g},{grid.rates[ai, zi]:.10g},{grid.boundary[zi]:.10g}\n")
 
 
-def _comparison_row(params, epsilon, reps, cfg, tag):
+def _comparison_row(params, epsilon, reps, tag):
     """Mean SDP and spectral error fractions over reps draws, both estimators on each."""
     sdp_errs = []
     spec_errs = []
     for rep in range(reps):
         child = derive_seed(*tag, rep)
         labels, fed = _one_shot(params, epsilon, child)
-        sdp_errs.append(err(sdp_estimate(fed, cfg, seed=derive_seed(child, 3)).labels, labels) / params.n)
+        sdp_errs.append(err(sdp_estimate(fed, seed=derive_seed(child, 3)).labels, labels) / params.n)
         spec_errs.append(err(spectral_estimate(fed, seed=derive_seed(child, 4)).labels, labels) / params.n)
     return {
         "n": params.n,
@@ -442,25 +428,23 @@ def _comparison_row(params, epsilon, reps, cfg, tag):
     }
 
 
-def recovery_comparison(n_values, p, zeta, epsilon, reps, seed=0, restarts=3):
+def recovery_comparison(n_values, p, zeta, epsilon, reps, seed=0):
     """Paired error rates of the factored-SDP and spectral estimators.
 
     Per rep both estimators see the same single perturbed graph; errors are
     reported as fractions of n so sizes are comparable.
     """
-    cfg = SdpConfig(restarts=restarts)
     return [
-        _comparison_row(CbmParams(n=n, p=p, zeta=zeta), epsilon, reps, cfg, (seed, 12, ni))
+        _comparison_row(CbmParams(n=n, p=p, zeta=zeta), epsilon, reps, (seed, 12, ni))
         for ni, n in enumerate(n_values)
     ]
 
 
-def recovery_comparison_eps(eps_values, n, p, zeta, reps, seed=0, restarts=3):
+def recovery_comparison_eps(eps_values, n, p, zeta, reps, seed=0):
     """Same paired comparison swept over the privacy level at fixed n."""
-    cfg = SdpConfig(restarts=restarts)
     params = CbmParams(n=n, p=p, zeta=zeta)
     return [
-        _comparison_row(params, epsilon, reps, cfg, (seed, 13, ei))
+        _comparison_row(params, epsilon, reps, (seed, 13, ei))
         for ei, epsilon in enumerate(eps_values)
     ]
 

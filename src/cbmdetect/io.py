@@ -145,7 +145,11 @@ def write_trajectory_csv(rows, path):
 
 
 def labels_from_config(value, n=None, base=None):
-    """Labels from a spec: 'balanced' (needs n), a +- string, or {'flip': [...]} (needs base)."""
+    """Labels from a spec: 'balanced' (needs n), a +- string, or {'flip': [...]} (needs base).
+
+    A flip list names distinct node indices in [0, n) of base; anything else
+    raises ValueError rather than wrapping, cancelling or crashing.
+    """
     if isinstance(value, str):
         if value == "balanced":
             if n is None:
@@ -156,9 +160,12 @@ def labels_from_config(value, n=None, base=None):
     if isinstance(value, dict) and "flip" in value:
         if base is None:
             raise ValueError("flip specification needs pre labels")
+        flips, size = value["flip"], len(base)
+        valid = isinstance(flips, list) and all(type(i) is int and 0 <= i < size for i in flips)
+        if not valid or len(set(flips)) != len(flips):
+            raise ValueError(f"flip needs distinct node indices in [0, {size}), got {flips!r}")
         out = base.copy()
-        for idx in value["flip"]:
-            out[idx] = -out[idx]
+        out[flips] = -out[flips]
         return out
     raise ValueError(f"cannot interpret labels spec {value!r}")
 

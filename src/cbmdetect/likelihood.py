@@ -20,16 +20,12 @@ def flip_gap(zeta):
     return math.log((1.0 - zeta) / zeta)
 
 
-def _check_interior(p, zeta):
+def log_likelihood(graph, labels, p, zeta):
+    """Exact log-probability of the graph under (labels, p, zeta)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} is singular here; need 0 < p < 1")
     if not 0.0 < zeta < 0.5:
         raise ValueError(f"zeta={zeta} is singular here; need 0 < zeta < 0.5")
-
-
-def log_likelihood(graph, labels, p, zeta):
-    """Exact log-probability of the graph under (labels, p, zeta)."""
-    _check_interior(p, zeta)
     labels = validate_labels(labels, graph.n)
     m = n_pairs(graph.n)
     et = graph.edge_count
@@ -42,9 +38,11 @@ def log_likelihood_ratio(graph, labels_num, labels_den, p, zeta):
     """log p(graph; labels_num) - log p(graph; labels_den).
 
     The reveal terms cancel, leaving (1/4) log((1-zeta)/zeta) times the
-    difference of quadratic forms; p only participates in domain checks.
+    difference of quadratic forms; p need only lie in [0, 1], so a
+    full-reveal law (p = 1) scores like any other.
     """
-    _check_interior(p, zeta)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     q_num = quad_form(graph, validate_labels(labels_num, graph.n))
     q_den = quad_form(graph, validate_labels(labels_den, graph.n))
     return 0.25 * flip_gap(zeta) * (q_num - q_den)

@@ -4,7 +4,8 @@ Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation stopped by a
 duality-gap certificate, the signs of M's top eigenvector (Lanczos), and
 exhaustive search for small n. Each status says whether its solver met its
-bound. All return canonical labels (first entry +1).
+bound. All return canonical labels (first entry +1). The solvers' settings
+are the module constants GAP_TOL, MAX_ITERS, RESTARTS and RITZ_TOL.
 """
 
 import math
@@ -14,26 +15,6 @@ import numpy as np
 
 from ._rng import SOLVER, generator
 from .model import TernaryGraph, canonical, random_labels
-
-
-@dataclass(frozen=True)
-class SdpConfig:
-    """Settings for the factored semidefinite ascent."""
-
-    rank: int | None = None  # None picks ceil(sqrt(2 n))
-    max_iters: int = 300
-    gap_tol: float = 1e-4  # certified duality gap, relative to 1 + |objective|
-    restarts: int = 3
-
-    def __post_init__(self):
-        if self.rank is not None and self.rank < 2:
-            raise ValueError("rank must be >= 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.gap_tol > 0:
-            raise ValueError("gap_tol must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 @dataclass
@@ -59,6 +40,9 @@ def stack_dense(graphs):
 
 
 GAP_EVERY = 10  # ascent steps between duality-gap checks
+GAP_TOL = 1e-4  # certified duality gap, relative to 1 + |objective|
+MAX_ITERS = 300  # ascent steps before giving up uncertified
+RESTARTS = 3  # seeded blocks ascending together
 
 
 def _power_step(v, mv, y, lam_min):
@@ -74,11 +58,11 @@ def _power_step(v, mv, y, lam_min):
     return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
 
 
-def _ascend(m, v, cfg):
+def _ascend(m, v):
     """(V, certified, steps): shifted power ascent of the n x rank blocks of V.
 
     A block with y_i = <(M V)_i, v_i> stops once n lambda_max(M - Diag(y))+ <=
-    gap_tol (1 + |sum y|), the weak-duality bound on its distance from the
+    GAP_TOL (1 + |sum y|), the weak-duality bound on its distance from the
     SDP optimum. This O(n^3) check runs every GAP_EVERY steps for blocks whose
     Riemannian gradient meets the same bar; each failure doubles their wait.
     """
@@ -86,12 +70,12 @@ def _ascend(m, v, cfg):
     lam_min = float(np.linalg.eigvalsh(m)[0])
     certified, due, wait = np.zeros(blocks, bool), np.zeros(blocks, int), np.full(blocks, GAP_EVERY)
     idx, va = np.arange(blocks), v
-    for it in range(cfg.max_iters + 1):
+    for it in range(MAX_ITERS + 1):
         mv = (m @ va.reshape(n, -1)).reshape(va.shape)
         y = np.einsum("ibr,ibr->ib", mv, va)
         if it % GAP_EVERY == 0:
             grad = 2.0 * np.linalg.norm(mv - y[:, :, None] * va, axis=(0, 2))
-            bar = cfg.gap_tol * (1.0 + np.abs(y.sum(axis=0)))
+            bar = GAP_TOL * (1.0 + np.abs(y.sum(axis=0)))
             for j, b in enumerate(idx):
                 if it < due[b] or grad[j] > bar[j]:
                     continue
@@ -103,7 +87,7 @@ def _ascend(m, v, cfg):
             done = certified[idx]
             v[:, idx[done]] = va[:, done]
             idx, va, mv, y = idx[~done], va[:, ~done], mv[:, ~done], y[:, ~done]
-        if it == cfg.max_iters or not idx.size:
+        if it == MAX_ITERS or not idx.size:
             break
         va = _power_step(va, mv, y, lam_min)
     v[:, idx] = va
@@ -174,29 +158,28 @@ def _polish(m, labels):
     return s.astype(np.int8)
 
 
-def sdp_estimate(graphs, cfg=None, seed=0):
+def sdp_estimate(graphs, seed=0):
     """Factored ascent for max tr(M Y), Y PSD with unit diagonal.
 
-    Restart k is an n x rank block of V (rank ceil(sqrt(2n)) by default;
+    Restart k is an n x rank block of V (rank ceil(sqrt(2n)), at most n;
     Boumal, Voroninski & Bandeira, arXiv:1606.04970) from generator(seed,
     SOLVER, k); all blocks ascend at once. Each rounds by the sign of its top
     left singular vector and polishes with single flips; the best objective
     wins, earliest restart on ties, "converged" if its block was certified.
     """
-    cfg = cfg or SdpConfig()
     n, m = stack_dense(graphs)
     if not m.any():
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
-    rank = min(max(cfg.rank or math.ceil(math.sqrt(2 * n)), 2), n)
-    starts = [generator(seed, SOLVER, k).standard_normal((n, rank)) for k in range(cfg.restarts)]
+    rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
+    starts = [generator(seed, SOLVER, k).standard_normal((n, rank)) for k in range(RESTARTS)]
     v = np.stack(starts, axis=1)
-    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=2, keepdims=True), cfg)
+    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=2, keepdims=True))
     rounded = []
-    for k in range(cfg.restarts):
+    for k in range(RESTARTS):
         labels = _polish(m, _signs(np.linalg.svd(v[:, k], full_matrices=False)[0][:, 0]))
         rounded.append((float(labels @ m @ labels), labels))
-    k = max(range(cfg.restarts), key=lambda k: rounded[k][0])  # first maximum
+    k = max(range(RESTARTS), key=lambda k: rounded[k][0])  # first maximum
     status = "converged" if certified[k] else "max_iters"
     return RecoveryResult(canonical(rounded[k][1]), rounded[k][0], status, steps)
 

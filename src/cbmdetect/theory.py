@@ -199,21 +199,16 @@ def min_window(n, epsilon):
     return max(privacy, recov), False
 
 
-def window_crossover_epsilon(n, tol=1e-10):
-    """Budget where the privacy and recovery window terms tie (bisection)."""
-    lo, hi = 1e-12, 1.0
-    while min_window_terms(n, hi)[0] > min_window_terms(n, hi)[1]:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ValueError("no crossover below eps=1e9")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        privacy, recov = min_window_terms(n, mid)
-        if privacy > recov:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def window_crossover_epsilon(n):
+    """Budget where the privacy and recovery window terms tie.
+
+    (1 - 1/n)/(1 - e^-eps) = R, R the recovery term, gives
+    eps = -log(1 - (1 - 1/n)/R). No tie at n = 2, where R is undefined.
+    """
+    recov = min_window_terms(n, 1.0)[1]  # R does not depend on eps
+    if math.isinf(recov):
+        raise ValueError("no crossover at n=2: the recovery term is undefined")
+    return -math.log1p(-(1.0 - 1.0 / n) / recov)
 
 
 def subsampled_stability_rhs(n, epsilon):

@@ -206,6 +206,32 @@ def test_simulate_stationary_delay_with_full_reveal(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["stationary_delay"] > 0
 
 
+def test_simulate_cdp_runs_with_full_reveal(tmp_path, capsys):
+    # the CDP detector scores the raw law, here p = 1; the ratio does not depend on p
+    config = json.loads(json.dumps(POST_CONFIG))
+    config["scenario"].update(n=6, p=1.0, post={"flip": [0]})
+    config["detector"] = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": 0.05}
+    config["truncation"] = 40
+    assert main(["simulate", "--config", _write_config(tmp_path, config), "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["censored_fraction"] == 0.0
+
+
+@pytest.mark.parametrize("flip", [[10], [1.5], [-1], [0, 0]])
+def test_simulate_refuses_bad_flip_spec(tmp_path, capsys, flip):
+    config = json.loads(json.dumps(POST_CONFIG))
+    config["scenario"]["post"] = {"flip": flip}
+    assert main(["simulate", "--config", _write_config(tmp_path, config), "--seed", "0"]) == 2
+    assert "flip" in capsys.readouterr().err
+
+
+def test_zero_trials_or_truncation_exit_two(tmp_path, capsys):
+    # a flag of 0 is refused, not replaced by the config's value
+    path = _write_config(tmp_path)
+    for verb, flag in (("simulate", "--trials"), ("simulate", "--truncation"), ("detect", "--truncation")):
+        assert main([verb, "--config", path, flag, "0", "--seed", "0"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_arl_summary(tmp_path, capsys):
     config = json.loads(json.dumps(POST_CONFIG))
     config["scenario"]["nu"] = "inf"
@@ -286,7 +312,11 @@ def test_bad_json_config_exits_two(tmp_path, capsys):
     assert main(["detect", "--config", str(bad), "--seed", "0"]) == 2
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["unknown-verb"]) == 2
     assert main(["generate", "--n", "8"]) == 2
+    # solver settings are constants, not flags
+    graph = tmp_path / "g.csv"
+    graph.write_text("n=4\n")
+    assert main(["recover", "--in", str(graph), "--restarts", "2", "--seed", "0"]) == 2
     capsys.readouterr()

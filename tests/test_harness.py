@@ -4,7 +4,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cbmdetect import harness
 from cbmdetect.harness import (
     ExperimentConfig,
     make_runner,
@@ -18,9 +17,8 @@ from cbmdetect.harness import (
     run_trajectory,
     theorem_boundary_a,
 )
-from cbmdetect.ldp import ldp_recovery_margin
-from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices
-from cbmdetect.recovery import SdpConfig
+from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs
+from cbmdetect.model import CbmParams, ChangeScenario, pair_indices
 
 
 def _scenario(n=6, p=0.8, zeta=0.1, nu=1, flips=(0,)):
@@ -138,6 +136,10 @@ def test_make_runner_rejects_unknown_descriptor_keys():
         make_runner(_scenario(), {**base, "windw": 17}, trial_seed=0)
     with pytest.raises(ValueError, match="seed_first"):
         make_runner(_scenario(), {**base, "seed_first": False}, trial_seed=0)
+    # solver settings are constants and the assumed release always assumes stability
+    for key, value in (("rank", 4), ("restarts", 2), ("max_iters", 50), ("assumed_distance", 0.0)):
+        with pytest.raises(ValueError, match=key):
+            make_runner(_scenario(), {**base, key: value}, trial_seed=0)
 
 
 @pytest.mark.parametrize(
@@ -162,20 +164,6 @@ def test_cdp_release_routes_run_a_campaign(release):
         first, second = run_delay_trials(cfg), run_delay_trials(cfg)
     assert first.rows == second.rows
     assert first.censored_fraction == 0.0
-
-
-def test_sdp_settings_come_from_the_descriptor(monkeypatch):
-    sc = _scenario()
-    base = {"kind": "LDP", "b": 1.0, "epsilon": 2.0}
-    assert make_runner(sc, base, trial_seed=0).cfg.sdp == SdpConfig()
-    tuned = {**base, "rank": 4, "restarts": 2, "max_iters": 50}
-    expected = SdpConfig(rank=4, restarts=2, max_iters=50)
-    assert make_runner(sc, tuned, trial_seed=0).cfg.sdp == expected
-    # the CDP release estimator reads the same keys
-    seen = []
-    monkeypatch.setattr(harness, "sdp_estimate", lambda g, cfg, seed: seen.append(cfg))
-    harness._release_estimator({**tuned, "release_estimator": "sdp"})(TernaryGraph.zero(4))
-    assert seen == [expected]
 
 
 def test_default_truncation_from_threshold():
@@ -269,8 +257,13 @@ def test_run_trajectory_stream_mode():
 def test_theorem_boundary_matches_margin_root():
     a_star = theorem_boundary_a(0.1, math.log(50), 50)
     np.testing.assert_allclose(a_star, 3.0306372644940502, atol=1e-5)
-    margin, _ = ldp_recovery_margin(a_star, 0.1, math.log(50), 50)
-    assert abs(margin) < 1e-5
+    for zeta, eps, n in ((0.1, math.log(50), 50), (0.01, 0.3, 7), (0.3, 5.0, 1000), (0.45, 1.5, 2)):
+        a_star = theorem_boundary_a(zeta, eps, n)
+        margin, _ = ldp_recovery_margin(a_star, zeta, eps, n)
+        assert abs(margin) <= 1e-12 * ldp_threshold_rhs(eps, n)
+    for zeta, eps, n in ((0.0, 1.0, 50), (0.5, 1.0, 50), (0.1, 0.0, 50), (0.1, 1.0, 1)):
+        with pytest.raises(ValueError):
+            theorem_boundary_a(zeta, eps, n)
 
 
 def test_phase_grid_shape_and_csv(tmp_path):
@@ -288,6 +281,8 @@ def test_phase_grid_shape_and_csv(tmp_path):
     assert len(lines) == 7
     with pytest.raises(ValueError):
         phase_grid([], [0.1], epsilon=2.0, n=12, trials=2)
+    with pytest.raises(ValueError, match="spektral"):
+        phase_grid([1.0], [0.1], epsilon=2.0, n=12, trials=1, estimator="spektral")
 
 
 def test_recovery_comparison_rows(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cbmdetect.io import (
     TRAJECTORY_HEADER,
     ingest_stream,
+    labels_from_config,
     load_experiment_json,
     read_graph_csv,
     scenario_from_config,
@@ -162,6 +163,17 @@ def test_scenario_from_config_rejects_junk():
         scenario_from_config(dict(base, post={"swap": [1]}))
     with pytest.raises(ValueError):
         scenario_from_config(dict(base, pre="+*--"))
+
+
+@pytest.mark.parametrize("flip", [[6], [1.5], [-1], [0, 0], 3, [True], "0"])
+def test_flip_spec_rejects_bad_indices(flip):
+    # out of range, fractional, negative (would wrap), repeated (would cancel), not a list
+    base = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
+    with pytest.raises(ValueError, match="flip"):
+        labels_from_config({"flip": flip}, base=base)
+    payload = {"n": 6, "p": 0.5, "zeta": 0.2, "pre": "balanced", "post": {"flip": flip}}
+    with pytest.raises(ValueError, match="flip"):
+        scenario_from_config(payload)
 
 
 def test_load_experiment_json(tmp_path):

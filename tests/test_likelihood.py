@@ -95,6 +95,19 @@ def test_ratio_single_revealed_pair():
     np.testing.assert_allclose(val, math.log(9.0), rtol=1e-12)
 
 
+def test_ratio_defined_at_full_reveal():
+    # the reveal terms cancel, so p = 1 scores exactly like any other p
+    g = TernaryGraph(4, np.array([1, -1, 0, 1, -1, 1], dtype=np.int8))
+    num = np.array([1, 1, -1, -1], dtype=np.int8)
+    den = np.array([1, -1, 1, -1], dtype=np.int8)
+    full = log_likelihood_ratio(g, num, den, 1.0, 0.1)
+    assert full == log_likelihood_ratio(g, num, den, 0.5, 0.1)
+    assert full == log_likelihood_ratio(g, num, den, 0.0, 0.1)
+    for p, zeta in ((1.5, 0.1), (-0.1, 0.1), (1.0, 0.0), (1.0, 0.5)):
+        with pytest.raises(ValueError):
+            log_likelihood_ratio(g, num, den, p, zeta)
+
+
 @given(st.data(), interior_p, interior_zeta)
 def test_kl_matches_brute_force(data, p, zeta):
     n = data.draw(st.integers(min_value=2, max_value=4))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbmdetect import recovery
 from cbmdetect._rng import SOLVER, generator
 from cbmdetect.ldp import perturb_graph
 from cbmdetect.model import (
@@ -16,8 +17,9 @@ from cbmdetect.model import (
     sample_cbm,
 )
 from cbmdetect.recovery import (
+    GAP_TOL,
+    MAX_ITERS,
     RITZ_TOL,
-    SdpConfig,
     _ascend,
     _power_step,
     _top_eigenvector,
@@ -109,14 +111,13 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
     m = graph.dense()
     if not m.any():
         return
-    cfg = SdpConfig()
-    v, certified, steps = _ascend(m, _unit_blocks(graph.n, 3, 3, seed), cfg)
-    assert 0 <= steps <= cfg.max_iters
+    v, certified, steps = _ascend(m, _unit_blocks(graph.n, 3, 3, seed))
+    assert 0 <= steps <= MAX_ITERS
     ml = ml_exhaustive(graph).objective
     tol = 1e-9 * (1.0 + abs(ml))
     for b in np.flatnonzero(certified):
         y = np.sum((m @ v[:, b]) * v[:, b], axis=1)
-        bar = cfg.gap_tol * (1.0 + abs(y.sum()))
+        bar = GAP_TOL * (1.0 + abs(y.sum()))
         gap = graph.n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1])
         assert gap <= bar + tol
         # every labeling is a feasible SDP point, so the dual bound sum(y) + gap
@@ -127,23 +128,22 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
 
 def test_sdp_recovers_planted_labels():
     g, labels = _planted(24, seed=2)
-    result = sdp_estimate(g, SdpConfig(restarts=3), seed=0)
+    result = sdp_estimate(g, seed=0)
     assert err(result.labels, labels) == 0
     assert result.status == "converged"
-    assert 0 < result.iterations < SdpConfig().max_iters
+    assert 0 < result.iterations < MAX_ITERS
     assert result.labels[0] == 1
-
-
-@pytest.mark.parametrize("gap_tol", [0.0, -1e-4, float("nan")])
-def test_sdp_config_rejects_nonpositive_gap_tol(gap_tol):
-    with pytest.raises(ValueError):
-        SdpConfig(gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize("field", ["step_rule", "step_size", "grad_tol", "polish"])
 def test_sdp_config_has_no_step_knobs(field):
+    # the solver's settings are module constants: no config object, no knobs
+    assert not hasattr(recovery, "SdpConfig")
+    g, _ = _planted(8, seed=1)
     with pytest.raises(TypeError):
-        SdpConfig(**{field: 1})
+        sdp_estimate(g, None, seed=0)
+    with pytest.raises(TypeError):
+        sdp_estimate(g, seed=0, **{field: 1})
 
 
 def test_sdp_deterministic_given_seed():

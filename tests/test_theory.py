@@ -171,6 +171,12 @@ def test_min_window_crossover():
     assert above[0] < above[1]
     window, flagged = min_window(100, eps_star * 2.0)
     assert window == above[1] and not flagged
+    # the closed form ties the two terms exactly
+    for n in (3, 100, 1000):
+        privacy, recov = min_window_terms(n, window_crossover_epsilon(n))
+        np.testing.assert_allclose(privacy, recov, rtol=1e-12)
+    with pytest.raises(ValueError):
+        window_crossover_epsilon(2)
 
 
 def test_min_window_degenerate_n2():
