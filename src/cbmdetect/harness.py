@@ -16,6 +16,7 @@ delays as scored statistics from the first post-change one; the sample a
 detector absorbs to initialize its estimate is not scored.
 """
 
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -322,14 +323,17 @@ def run_arl_trials(cfg):
 def run_trajectory(scenario, detector, truncation, seed, stream=None):
     """One run, recorded step by step for trajectory CSV output.
 
-    With a stream (list of graphs), samples come from the file and the
-    hamming column is -1 (true post labels unknowable); otherwise samples
-    are drawn from the scenario.
+    With a stream (list of graphs), samples come from its first
+    `truncation` graphs and the hamming column is -1 (true post labels
+    unknowable); otherwise samples are drawn from the scenario.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     trial_seed = derive_seed(seed, TRIAL, 0)
-    graphs = stream if stream is not None else _drawn(scenario, trial_seed, truncation)
+    if stream is None:
+        graphs = _drawn(scenario, trial_seed, truncation)
+    else:
+        graphs = itertools.islice(stream, truncation)
     rows = []
     for _, stopped, state in _steps(scenario, detector, trial_seed, graphs):
         sigma = getattr(state, "sigma_hat", None)

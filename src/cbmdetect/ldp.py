@@ -18,6 +18,10 @@ from .model import FOREIGN, TernaryGraph, n_pairs
 # identity long before that point
 EPS_IDENTITY = 700.0
 
+# output symbol at code * 3 + x + 1: code 0 keeps x, codes 1 and 2 emit the
+# first and second foreign symbol
+_RESPONSE = np.concatenate([np.array([-1, 0, 1], dtype=np.int8), *FOREIGN])
+
 
 @dataclass(frozen=True)
 class PrivacyBudget:
@@ -63,12 +67,8 @@ def perturb_graph(graph, epsilon, seed):
         return TernaryGraph(graph.n, graph.upper.copy())
     rng = generator(seed, PERTURB)
     u = rng.random(n_pairs(graph.n))
-    x = graph.upper
-    idx = x + 1
-    out = np.where(
-        u < probs.keep, x, np.where(u < probs.keep + probs.switch, FOREIGN[0][idx], FOREIGN[1][idx])
-    )
-    return TernaryGraph(graph.n, out)
+    code = (u >= probs.keep).view(np.int8) + (u >= probs.keep + probs.switch).view(np.int8)
+    return TernaryGraph(graph.n, _RESPONSE[code * 3 + graph.upper + 1])
 
 
 def perturbed_params(p, zeta, epsilon):

@@ -18,6 +18,7 @@ import numpy as np
 from ._rng import SAMPLE, generator
 
 _PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_MASK_CACHE: dict[int, np.ndarray] = {}
 
 # the two symbols other than x, in a fixed order, indexed by x + 1
 FOREIGN = (np.array([0, -1, -1], dtype=np.int8), np.array([1, 1, 0], dtype=np.int8))
@@ -32,6 +33,15 @@ def pair_indices(n):
     if n not in _PAIR_CACHE:
         _PAIR_CACHE[n] = np.triu_indices(n, k=1)
     return _PAIR_CACHE[n]
+
+
+def _upper_mask(n):
+    """Boolean n x n mask of the strict upper triangle; row-major order is pair_indices order."""
+    if n not in _MASK_CACHE:
+        mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+        mask.flags.writeable = False
+        _MASK_CACHE[n] = mask
+    return _MASK_CACHE[n]
 
 
 def pair_pos(i, j, n):
@@ -183,16 +193,18 @@ class TernaryGraph:
             raise ValueError("diagonal must be zero")
         if not np.array_equal(m, m.T):
             raise ValueError("adjacency must be symmetric")
-        i, j = pair_indices(m.shape[0])
-        return cls(m.shape[0], m[i, j].astype(np.int8))
+        return cls(m.shape[0], m[_upper_mask(m.shape[0])].astype(np.int8))
 
     def dense(self):
-        """Full symmetric float64 matrix (cached, read-only)."""
+        """Full symmetric float64 matrix (cached, read-only).
+
+        Built in int8 (upper triangle scattered through the mask, plus its
+        transpose) and cast to float64 once.
+        """
         if self._dense is None:
-            a = np.zeros((self.n, self.n))
-            i, j = pair_indices(self.n)
-            a[i, j] = self.upper
-            a[j, i] = self.upper
+            a = np.zeros((self.n, self.n), dtype=np.int8)
+            a[_upper_mask(self.n)] = self.upper
+            a = (a + a.T).astype(np.float64)
             a.flags.writeable = False
             self._dense = a
         return self._dense
@@ -209,11 +221,13 @@ class TernaryGraph:
 
 
 def quad_form(graph, labels):
-    """Full quadratic form sigma^T A sigma (both triangles counted)."""
-    labels = validate_labels(labels, graph.n)
-    i, j = pair_indices(graph.n)
-    prod = labels[i].astype(np.int64) * labels[j]
-    return 2 * int(graph.upper.astype(np.int64) @ prod)
+    """Full quadratic form sigma^T A sigma (both triangles counted).
+
+    Read from the cached dense matrix: every partial sum is an integer of
+    size at most n^2, so float64 holds it exactly.
+    """
+    s = validate_labels(labels, graph.n).astype(np.float64)
+    return int(s @ (graph.dense() @ s))
 
 
 def sample_cbm(params, labels, seed):
@@ -225,11 +239,11 @@ def sample_cbm(params, labels, seed):
     labels = validate_labels(labels, params.n)
     rng = generator(seed, SAMPLE)
     u = rng.random(n_pairs(params.n))
-    i, j = pair_indices(params.n)
-    prod = labels[i] * labels[j]
+    prod = np.multiply.outer(labels, labels)[_upper_mask(params.n)]
     keep = params.p * (1.0 - params.zeta)
-    upper = np.where(u < keep, prod, np.where(u < params.p, -prod, 0))
-    return TernaryGraph(params.n, upper.astype(np.int8))
+    # +1 keeps the label product, -1 flips it, 0 hides the pair
+    sign = (u < keep).view(np.int8) - ((u >= keep) & (u < params.p)).view(np.int8)
+    return TernaryGraph(params.n, sign * prod)
 
 
 @dataclass

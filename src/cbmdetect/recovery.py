@@ -2,10 +2,12 @@
 
 Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation stopped by a
-duality-gap certificate, the signs of M's top eigenvector (Lanczos), and
-exhaustive search for small n. Each status says whether its solver met its
-bound. All return canonical labels (first entry +1). The solvers' settings
-are the module constants GAP_TOL, MAX_ITERS, RESTARTS and RITZ_TOL.
+duality-gap certificate, the signs of M's top eigenvector, and exhaustive
+search for small n. The eigenvector comes from one dense `eigh` call up to
+n = EIGH_MAX_N, where that is faster, and from Lanczos above it. Each status
+says whether its solver met its bound. All return canonical labels (first
+entry +1). The solvers' settings are the module constants GAP_TOL,
+MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
 """
 
 import math
@@ -22,7 +24,7 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
-    iterations: int = 0  # solver steps: SDP ascent or Lanczos; 0 for ML
+    iterations: int = 0  # solver steps: SDP ascent or Lanczos; 0 for eigh and ML
 
 
 def stack_dense(graphs):
@@ -34,8 +36,10 @@ def stack_dense(graphs):
     if any(g.n != n for g in graphs):
         raise ValueError("graphs must share n")
     m = graphs[0].dense()
-    for g in graphs[1:]:
-        m = m + g.dense()
+    if len(graphs) > 1:
+        m = m.copy()
+        for g in graphs[1:]:
+            m += g.dense()
     return n, m
 
 
@@ -94,6 +98,7 @@ def _ascend(m, v):
     return v, certified, it
 
 
+EIGH_MAX_N = 128  # largest n whose top eigenvector comes from one eigh call
 RITZ_TOL = 1e-10  # Ritz residual bound, relative to max(1, |theta|)
 RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
 
@@ -187,16 +192,21 @@ def sdp_estimate(graphs, seed=0):
 def spectral_estimate(graphs, seed=0):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
-    The eigenvector comes from Lanczos on M from a seeded Gaussian start;
-    status is "converged" when its Ritz residual met the bound, "max_iters"
-    when n steps did not meet it. A zero M is flagged degenerate and yields
-    random labels.
+    Up to n = EIGH_MAX_N the eigenvector is the last column of one
+    `np.linalg.eigh(M)` call: status "converged" (LAPACK raises if it
+    fails), 0 iterations, and no random draw. Above it, Lanczos runs on M
+    from a seeded Gaussian start; status is "converged" when its Ritz
+    residual met the bound, "max_iters" when n steps did not meet it. A zero
+    M is flagged degenerate and yields random labels.
     """
     n, m = stack_dense(graphs)
-    rng = generator(seed, SOLVER, 0)
     if not m.any():
-        return RecoveryResult(canonical(random_labels(n, rng)), 0.0, "degenerate")
-    x, converged, steps = _top_eigenvector(m, rng.standard_normal(n))
+        labels = random_labels(n, generator(seed, SOLVER, 0))
+        return RecoveryResult(canonical(labels), 0.0, "degenerate")
+    if n <= EIGH_MAX_N:
+        x, converged, steps = np.linalg.eigh(m)[1][:, -1], True, 0
+    else:
+        x, converged, steps = _top_eigenvector(m, generator(seed, SOLVER, 0).standard_normal(n))
     labels = _signs(x)
     obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters", steps)

@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
-from cbmdetect.model import TernaryGraph, n_pairs, pair_indices
+from cbmdetect._rng import PERTURB, SAMPLE, generator
+from cbmdetect.ldp import EPS_IDENTITY
+from cbmdetect.model import FOREIGN, TernaryGraph, n_pairs, pair_indices
 
 
 def edge_pmf(w, prod, p, zeta):
@@ -30,6 +32,64 @@ def graph_log_pmf(graph, labels, p, zeta):
     total = 0.0
     for i, j, w in zip(i_idx, j_idx, graph.upper):
         total += math.log(edge_pmf(int(w), int(labels[i] * labels[j]), p, zeta))
+    return total
+
+
+def sample_by_pairs(params, labels, seed):
+    """sample_cbm rebuilt pair by pair from the same uniform draws.
+
+    Pair k in pair_indices order takes draw u_k: u_k < p(1 - zeta) shows the
+    label product, p(1 - zeta) <= u_k < p the opposite sign, u_k >= p a 0.
+    """
+    u = generator(seed, SAMPLE).random(n_pairs(params.n))
+    keep = params.p * (1.0 - params.zeta)
+    out = np.zeros(n_pairs(params.n), dtype=np.int8)
+    for k, (i, j) in enumerate(zip(*pair_indices(params.n))):
+        prod = int(labels[i]) * int(labels[j])
+        if u[k] < keep:
+            out[k] = prod
+        elif u[k] < params.p:
+            out[k] = -prod
+    return TernaryGraph(params.n, out)
+
+
+def perturb_by_pairs(graph, epsilon, seed):
+    """perturb_graph rebuilt pair by pair from the same uniform draws.
+
+    Symbol x with draw u stays when u < keep = e^eps / (e^eps + 2), becomes
+    FOREIGN[0][x + 1] when u < keep + switch, switch = 1 / (e^eps + 2), and
+    FOREIGN[1][x + 1] otherwise. Beyond EPS_IDENTITY nothing is drawn.
+    """
+    if epsilon > EPS_IDENTITY:
+        return TernaryGraph(graph.n, graph.upper.copy())
+    w = math.exp(epsilon)
+    keep, switch = w / (w + 2.0), 1.0 / (w + 2.0)
+    u = generator(seed, PERTURB).random(n_pairs(graph.n))
+    out = np.empty(n_pairs(graph.n), dtype=np.int8)
+    for k, x in enumerate(graph.upper):
+        if u[k] < keep:
+            out[k] = x
+        elif u[k] < keep + switch:
+            out[k] = FOREIGN[0][x + 1]
+        else:
+            out[k] = FOREIGN[1][x + 1]
+    return TernaryGraph(graph.n, out)
+
+
+def dense_by_pairs(graph):
+    """The symmetric float64 adjacency, one pair at a time."""
+    a = np.zeros((graph.n, graph.n))
+    for (i, j), w in zip(zip(*pair_indices(graph.n)), graph.upper):
+        a[i, j] = a[j, i] = w
+    return a
+
+
+def quad_form_by_pairs(graph, labels):
+    """sigma^T A sigma as twice the sum over pairs of w_ij sigma_i sigma_j."""
+    i_idx, j_idx = pair_indices(graph.n)
+    total = 0
+    for i, j, w in zip(i_idx, j_idx, graph.upper):
+        total += 2 * int(w) * int(labels[i]) * int(labels[j])
     return total
 
 

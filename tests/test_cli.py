@@ -144,6 +144,27 @@ def test_detect_stops_on_stream(tmp_path, capsys):
     assert header == "t,stat,noisy_stat,stopped,hamming_est_vs_post"
 
 
+def test_detect_stream_honours_truncation(tmp_path, capsys):
+    config = {
+        "scenario": {
+            "n": 6, "p": 0.8, "zeta": 0.1,
+            "pre": "balanced", "post": {"flip": [0]}, "nu": 1,
+        },
+        "detector": {"kind": "LDP", "b": 1e6, "epsilon": 1e6},
+    }
+    traj = tmp_path / "traj.csv"
+    code = main(
+        [
+            "detect", "--config", _write_config(tmp_path, config),
+            "--stream", _post_stream(tmp_path, count=5), "--truncation", "2",
+            "--seed", "0", "--out", str(traj),
+        ]
+    )
+    assert code == 1
+    assert "stopped=False" in capsys.readouterr().out
+    assert len(traj.read_text().splitlines()) == 1 + 2
+
+
 def test_detect_no_alarm_exits_one(tmp_path, capsys):
     config = {
         "scenario": {

@@ -18,7 +18,7 @@ from cbmdetect.harness import (
     theorem_boundary_a,
 )
 from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs
-from cbmdetect.model import CbmParams, ChangeScenario, pair_indices
+from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices
 
 
 def _scenario(n=6, p=0.8, zeta=0.1, nu=1, flips=(0,)):
@@ -240,8 +240,6 @@ def test_run_trajectory_stream_mode():
     sc = _scenario(n=6, nu=1)
     i, j = pair_indices(6)
     post_pattern = (sc.post[i] * sc.post[j]).astype(np.int8)
-    from cbmdetect.model import TernaryGraph
-
     stream = [TernaryGraph(6, post_pattern.copy()) for _ in range(3)]
     detector = {"kind": "LDP", "b": 1e6, "epsilon": 1e6, "estimator": "sdp"}
     rows = run_trajectory(sc, detector, truncation=99, seed=0, stream=stream)
@@ -252,6 +250,17 @@ def test_run_trajectory_stream_mode():
     stats = [r["stat"] for r in rows]
     assert stats[0] == 0.0
     assert stats[1] > 0.0 and stats[2] > stats[1]
+
+
+def test_run_trajectory_stream_stops_at_truncation():
+    sc = _scenario(n=6, nu=1)
+    i, j = pair_indices(6)
+    post_pattern = (sc.post[i] * sc.post[j]).astype(np.int8)
+    stream = [TernaryGraph(6, post_pattern.copy()) for _ in range(5)]
+    detector = {"kind": "LDP", "b": 1e6, "epsilon": 1e6, "estimator": "spectral"}
+    rows = run_trajectory(sc, detector, truncation=2, seed=0, stream=stream)
+    assert len(rows) == 2
+    assert not any(r["stopped"] for r in rows)
 
 
 def test_theorem_boundary_matches_margin_root():

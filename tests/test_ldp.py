@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbmdetect.ldp import (
+    EPS_IDENTITY,
     PrivacyBudget,
     RrProbabilities,
     ldp_recovery_margin,
@@ -58,6 +59,17 @@ def test_perturb_graph_reproducible_and_identity():
     same = perturb_graph(g, 1e6, seed=2)
     assert same == g
     assert same.upper is not g.upper
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 257])
+@pytest.mark.parametrize("epsilon", [0.5, 1.5, EPS_IDENTITY + 1.0])
+def test_perturb_graph_matches_per_pair_oracle(n, epsilon):
+    labels = random_labels(n, np.random.default_rng(n))
+    g = sample_cbm(CbmParams(n=n, p=0.6, zeta=0.3), labels, seed=1)
+    for seed in (0, 5):
+        out = perturb_graph(g, epsilon, seed)
+        assert out.upper.dtype == np.int8
+        assert np.array_equal(out.upper, oracles.perturb_by_pairs(g, epsilon, seed).upper)
 
 
 def test_perturb_graph_empirical_channel():

@@ -24,6 +24,8 @@ from cbmdetect.model import (
     validate_labels,
 )
 
+import oracles
+
 sizes = st.integers(min_value=2, max_value=8)
 
 
@@ -160,6 +162,7 @@ def test_quad_form_matches_dense(pair):
     graph, labels = pair
     dense = labels.astype(float) @ graph.dense() @ labels.astype(float)
     assert quad_form(graph, labels) == int(round(dense))
+    assert quad_form(graph, labels) == oracles.quad_form_by_pairs(graph, labels)
 
 
 def test_sample_cbm_reproducible():
@@ -184,6 +187,23 @@ def test_sample_cbm_cell_frequencies():
         for q in (params.p * (1 - params.zeta), params.p * params.zeta, 1 - params.p)
     ]
     assert stats.chisquare(counts, expected).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 257])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_sample_dense_and_quad_form_match_per_pair_oracles(n, p):
+    labels = np.random.default_rng(n).choice(np.array([-1, 1], dtype=np.int8), size=n)
+    params = CbmParams(n=n, p=p, zeta=0.2)
+    for seed in (0, 7):
+        g = sample_cbm(params, labels, seed=seed)
+        want = oracles.sample_by_pairs(params, labels, seed)
+        assert g.upper.dtype == np.int8
+        assert np.array_equal(g.upper, want.upper)
+        dense = g.dense()
+        assert dense.dtype == np.float64 and not dense.flags.writeable
+        assert np.array_equal(dense, oracles.dense_by_pairs(g))
+        assert TernaryGraph.from_dense(dense) == g
+        assert quad_form(g, labels) == oracles.quad_form_by_pairs(g, labels)
 
 
 def test_sample_cbm_degenerate_p():

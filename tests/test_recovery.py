@@ -17,6 +17,7 @@ from cbmdetect.model import (
     sample_cbm,
 )
 from cbmdetect.recovery import (
+    EIGH_MAX_N,
     GAP_TOL,
     MAX_ITERS,
     RITZ_TOL,
@@ -53,6 +54,11 @@ def test_stack_dense_sums():
     n, m = stack_dense([g1, g2])
     assert n == 3
     np.testing.assert_allclose(m, g1.dense() + g2.dense())
+    g3 = TernaryGraph(3, np.array([-1, 1, 0], dtype=np.int8))
+    n3, m3 = stack_dense([g1, g2, g3])
+    assert n3 == 3
+    assert np.array_equal(m3, g1.dense() + g2.dense() + g3.dense())
+    assert m3.flags.writeable and not g1.dense().flags.writeable
     n1, m1 = stack_dense(g1)
     assert m1 is g1.dense()
     with pytest.raises(ValueError):
@@ -169,7 +175,9 @@ def test_spectral_recovers_planted_labels():
 
 # (n, a, seed) of perturbed draws (zeta=0.1, eps=1.5). Power iteration on
 # the shifted matrix ran out of iterations on all but the first two, and the
-# two draws at a < 5 have an eigengap below 0.01.
+# two draws at a < 5 have an eigengap below 0.01. The n=50 draws take the
+# eigh path of spectral_estimate, the n=200 ones Lanczos; Lanczos itself is
+# also run on every draw.
 HARD_DRAWS = [
     (50, 5.0, 0),
     (200, 5.0, 0),
@@ -188,10 +196,30 @@ def test_spectral_converges_to_eigh_signs(n, a, seed):
     evals, evecs = np.linalg.eigh(g.dense())
     if a < 5.0:
         assert evals[-1] - evals[-2] < 0.01
+    want = canonical(np.where(evecs[:, -1] < 0, -1, 1))
     result = spectral_estimate(g, seed=0)
     assert result.status == "converged"
-    assert 1 <= result.iterations <= n
-    assert np.array_equal(result.labels, canonical(np.where(evecs[:, -1] < 0, -1, 1)))
+    if n <= EIGH_MAX_N:
+        assert result.iterations == 0
+    else:
+        assert 1 <= result.iterations <= n
+    assert np.array_equal(result.labels, want)
+    x, converged, steps = _top_eigenvector(g.dense(), generator(0, SOLVER, 0).standard_normal(n))
+    assert converged
+    assert 1 <= steps <= n
+    assert np.array_equal(canonical(np.where(x < 0, -1, 1)), want)
+
+
+@pytest.mark.parametrize("n, by_eigh", [(EIGH_MAX_N, True), (EIGH_MAX_N + 1, False)])
+def test_spectral_picks_its_eigensolver_by_n(n, by_eigh):
+    g, labels = _planted(n, seed=4)
+    result = spectral_estimate(g, seed=0)
+    assert result.status == "converged"
+    assert err(result.labels, labels) == 0
+    if by_eigh:
+        assert result.iterations == 0
+    else:
+        assert 1 <= result.iterations <= n
 
 
 @settings(max_examples=200)
