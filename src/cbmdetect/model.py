@@ -169,15 +169,20 @@ class TernaryGraph:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError("n must be an integer >= 2")
-        arr = np.asarray(self.upper, dtype=np.int8)
+        arr = np.asarray(self.upper)
         if arr.shape != (n_pairs(self.n),):
             raise ValueError(
                 f"upper triangle for n={self.n} needs {n_pairs(self.n)} entries, "
                 f"got shape {arr.shape}"
             )
-        if not np.all(np.abs(arr.astype(np.int16)) <= 1):
+        # checked before the cast, which would wrap 255 to -1 and truncate 0.7 to 0
+        if arr.dtype == np.int8:
+            ternary = arr.min() >= -1 and arr.max() <= 1
+        else:
+            ternary = np.all((arr == -1) | (arr == 0) | (arr == 1))
+        if not ternary:
             raise ValueError("graph entries must be -1, 0, or +1")
-        self.upper = arr
+        self.upper = arr.astype(np.int8, copy=False)
         self._dense = None
 
     @classmethod
@@ -193,7 +198,7 @@ class TernaryGraph:
             raise ValueError("diagonal must be zero")
         if not np.array_equal(m, m.T):
             raise ValueError("adjacency must be symmetric")
-        return cls(m.shape[0], m[_upper_mask(m.shape[0])].astype(np.int8))
+        return cls(m.shape[0], m[_upper_mask(m.shape[0])])
 
     def dense(self):
         """Full symmetric float64 matrix (cached, read-only).

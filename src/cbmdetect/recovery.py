@@ -2,8 +2,9 @@
 
 Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation stopped by a
-duality-gap certificate, the signs of M's top eigenvector, and exhaustive
-search for small n. The eigenvector comes from one dense `eigh` call up to
+duality-gap certificate (seeded restarts run in turn until one is
+certified), the signs of M's top eigenvector, and exhaustive search for
+small n. The eigenvector comes from one dense `eigh` call up to
 n = EIGH_MAX_N, where that is faster, and from Lanczos above it. Each status
 says whether its solver met its bound. All return canonical labels (first
 entry +1). The solvers' settings are the module constants GAP_TOL,
@@ -24,7 +25,8 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
-    iterations: int = 0  # solver steps: SDP ascent or Lanczos; 0 for eigh and ML
+    # solver steps: SDP ascent steps summed over the restarts run, or Lanczos; 0 for eigh and ML
+    iterations: int = 0
 
 
 def stack_dense(graphs):
@@ -45,57 +47,47 @@ def stack_dense(graphs):
 
 GAP_EVERY = 10  # ascent steps between duality-gap checks
 GAP_TOL = 1e-4  # certified duality gap, relative to 1 + |objective|
-MAX_ITERS = 300  # ascent steps before giving up uncertified
-RESTARTS = 3  # seeded blocks ascending together
+MAX_ITERS = 300  # ascent steps per restart before giving up uncertified
+RESTARTS = 3  # seeded restarts, run in turn until one is certified
 
 
 def _power_step(v, mv, y, lam_min):
-    """V <- rownormalize((M + s I) V) per block; rows with a zero image stay.
+    """V <- rownormalize((M + s I) V); rows with a zero image stay.
 
     tr(V^T M V) rises by <M D, D> + sum_i (s + |a_i|) |D_i|^2 (D = V' - V, a_i
     rows of (M + s I) V): >= 0 for s = -lam_min (Journee, Nesterov, Richtarik &
     Sepulchre, JMLR 2010) and, as |a_i| >= y_i + s, for 2 s >= -lam_min - min y.
     s is the smaller of the two, at least 0.
     """
-    w = mv + np.clip((-lam_min - y.min(axis=0)) / 2.0, 0.0, -lam_min)[:, None] * v
-    norms = np.sqrt(np.einsum("ibr,ibr->ib", w, w))[:, :, None]
+    w = mv + min(max((-lam_min - y.min()) / 2.0, 0.0), -lam_min) * v
+    norms = np.sqrt(np.einsum("ir,ir->i", w, w))[:, None]
     return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
 
 
-def _ascend(m, v):
-    """(V, certified, steps): shifted power ascent of the n x rank blocks of V.
+def _ascend(m, v, lam_min):
+    """(V, certified, steps): shifted power ascent of the n x rank block V.
 
-    A block with y_i = <(M V)_i, v_i> stops once n lambda_max(M - Diag(y))+ <=
+    With y_i = <(M V)_i, v_i> it stops once n lambda_max(M - Diag(y))+ <=
     GAP_TOL (1 + |sum y|), the weak-duality bound on its distance from the
-    SDP optimum. This O(n^3) check runs every GAP_EVERY steps for blocks whose
-    Riemannian gradient meets the same bar; each failure doubles their wait.
+    SDP optimum. This O(n^3) check runs every GAP_EVERY steps once the
+    Riemannian gradient meets the same bar; each failure doubles the wait
+    before the next one. lam_min is M's smallest eigenvalue.
     """
-    n, blocks, _ = v.shape
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    certified, due, wait = np.zeros(blocks, bool), np.zeros(blocks, int), np.full(blocks, GAP_EVERY)
-    idx, va = np.arange(blocks), v
+    n = len(v)
+    due, wait = 0, GAP_EVERY
     for it in range(MAX_ITERS + 1):
-        mv = (m @ va.reshape(n, -1)).reshape(va.shape)
-        y = np.einsum("ibr,ibr->ib", mv, va)
-        if it % GAP_EVERY == 0:
-            grad = 2.0 * np.linalg.norm(mv - y[:, :, None] * va, axis=(0, 2))
-            bar = GAP_TOL * (1.0 + np.abs(y.sum(axis=0)))
-            for j, b in enumerate(idx):
-                if it < due[b] or grad[j] > bar[j]:
-                    continue
-                if n * max(0.0, np.linalg.eigvalsh(m - np.diag(y[:, j]))[-1]) <= bar[j]:
-                    certified[b] = True
-                else:
-                    wait[b] *= 2
-                    due[b] = it + wait[b]
-            done = certified[idx]
-            v[:, idx[done]] = va[:, done]
-            idx, va, mv, y = idx[~done], va[:, ~done], mv[:, ~done], y[:, ~done]
-        if it == MAX_ITERS or not idx.size:
-            break
-        va = _power_step(va, mv, y, lam_min)
-    v[:, idx] = va
-    return v, certified, it
+        mv = m @ v
+        y = np.einsum("ir,ir->i", mv, v)
+        if it % GAP_EVERY == 0 and it >= due:
+            bar = GAP_TOL * (1.0 + abs(y.sum()))
+            if 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar:
+                if n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1]) <= bar:
+                    return v, True, it
+                wait *= 2
+                due = it + wait
+        if it == MAX_ITERS:
+            return v, False, it
+        v = _power_step(v, mv, y, lam_min)
 
 
 EIGH_MAX_N = 128  # largest n whose top eigenvector comes from one eigh call
@@ -166,27 +158,34 @@ def _polish(m, labels):
 def sdp_estimate(graphs, seed=0):
     """Factored ascent for max tr(M Y), Y PSD with unit diagonal.
 
-    Restart k is an n x rank block of V (rank ceil(sqrt(2n)), at most n;
+    Restart k ascends an n x rank block V (rank ceil(sqrt(2n)), at most n;
     Boumal, Voroninski & Bandeira, arXiv:1606.04970) from generator(seed,
-    SOLVER, k); all blocks ascend at once. Each rounds by the sign of its top
-    left singular vector and polishes with single flips; the best objective
-    wins, earliest restart on ties, "converged" if its block was certified.
+    SOLVER, k). Restarts run in seed order and stop at the first certified
+    one, whose certificate already bounds its gap to the SDP optimum. Each
+    rounds by the sign of its top left singular vector and polishes with
+    single flips; among the restarts that ran the best objective wins,
+    earliest on ties, "converged" if it was certified. `iterations` sums the
+    ascent steps of the restarts that ran.
     """
     n, m = stack_dense(graphs)
     if not m.any():
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
-    starts = [generator(seed, SOLVER, k).standard_normal((n, rank)) for k in range(RESTARTS)]
-    v = np.stack(starts, axis=1)
-    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=2, keepdims=True))
-    rounded = []
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    best, steps = None, 0
     for k in range(RESTARTS):
-        labels = _polish(m, _signs(np.linalg.svd(v[:, k], full_matrices=False)[0][:, 0]))
-        rounded.append((float(labels @ m @ labels), labels))
-    k = max(range(RESTARTS), key=lambda k: rounded[k][0])  # first maximum
-    status = "converged" if certified[k] else "max_iters"
-    return RecoveryResult(canonical(rounded[k][1]), rounded[k][0], status, steps)
+        v = generator(seed, SOLVER, k).standard_normal((n, rank))
+        v, certified, it = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+        steps += it
+        labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
+        obj = float(labels @ m @ labels)
+        if best is None or obj > best[0]:  # first maximum
+            best = (obj, labels, certified)
+        if certified:
+            break
+    obj, labels, certified = best
+    return RecoveryResult(canonical(labels), obj, "converged" if certified else "max_iters", steps)
 
 
 def spectral_estimate(graphs, seed=0):

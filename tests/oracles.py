@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
-from cbmdetect._rng import PERTURB, SAMPLE, generator
+from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, generator
 from cbmdetect.ldp import EPS_IDENTITY
-from cbmdetect.model import FOREIGN, TernaryGraph, n_pairs, pair_indices
+from cbmdetect.model import FOREIGN, TernaryGraph, canonical, n_pairs, pair_indices
+from cbmdetect.recovery import RESTARTS, _ascend, _polish, _signs, stack_dense
 
 
 def edge_pmf(w, prod, p, zeta):
@@ -174,3 +175,31 @@ def instability_distances(n, estimator, cap):
         dmin = int(diff[other].min())
         out[idx] = min(dmin - 1, cap)
     return graphs, out
+
+
+def sdp_restart(m, seed, k):
+    """Restart k of sdp_estimate run alone on M, from its seeded start.
+
+    Returns (objective, canonical labels, certified, steps).
+    """
+    n = len(m)
+    rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
+    v = generator(seed, SOLVER, k).standard_normal((n, rank))
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+    labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
+    return float(labels @ m @ labels), canonical(labels), certified, steps
+
+
+def sdp_all_restarts(graphs, seed):
+    """sdp_estimate's rule with every restart run to its end.
+
+    Each of the RESTARTS seeded blocks ascends until its own certificate or
+    MAX_ITERS, whether or not an earlier one was certified; then the best
+    rounded-and-polished objective wins, earliest restart on ties.
+    Returns (canonical labels, objective, status).
+    """
+    m = stack_dense(graphs)[1]
+    runs = [sdp_restart(m, seed, k) for k in range(RESTARTS)]
+    objective, labels, certified, _ = max(runs, key=lambda run: run[0])  # first maximum
+    return labels, objective, "converged" if certified else "max_iters"

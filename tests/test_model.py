@@ -151,6 +151,34 @@ def test_graph_rejects_bad_input():
         TernaryGraph.from_dense(np.eye(3))
 
 
+@pytest.mark.parametrize(
+    "upper",
+    [[255, 0, 1], [257, 0, 0], [0.7, -0.4, 1.9], [np.nan, 0, 0], np.array([-128, 0, 0], np.int8)],
+    ids=["255", "257", "fractions", "nan", "int8 -128"],
+)
+def test_graph_rejects_entries_an_int8_cast_would_mangle(upper):
+    # casting first would store [-1, 0, 1], [1, 0, 0] and [0, 0, 1] for the first three
+    with pytest.raises(ValueError, match="-1, 0, or"):
+        TernaryGraph(3, np.asarray(upper))
+
+
+@pytest.mark.parametrize("entry", [0.5, 255.0, 257.0, 2.0])
+def test_graph_from_dense_rejects_non_ternary_pairs(entry):
+    m = np.zeros((3, 3))
+    m[0, 1] = m[1, 0] = entry
+    with pytest.raises(ValueError, match="-1, 0, or"):
+        TernaryGraph.from_dense(m)
+
+
+def test_graph_accepts_integral_ternary_values_of_any_dtype():
+    want = np.array([1, 0, -1], dtype=np.int8)
+    for upper in ([1, 0, -1], [1.0, 0.0, -1.0], np.array([1, 0, -1], dtype=np.int64), want):
+        g = TernaryGraph(3, upper)
+        assert g.upper.dtype == np.int8
+        assert np.array_equal(g.upper, want)
+    assert TernaryGraph(3, want).upper is want
+
+
 def test_zero_graph():
     g = TernaryGraph.zero(5)
     assert g.edge_count == 0

@@ -91,24 +91,24 @@ def test_sdp_never_beats_ml(graph):
     assert quad_form(graph, sdp.labels) <= ml.objective + 1e-9
 
 
-def _unit_blocks(n, blocks, rank, seed):
-    v = np.random.default_rng(seed).standard_normal((n, blocks, rank))
-    return v / np.linalg.norm(v, axis=2, keepdims=True)
+def _unit_block(n, rank, seed):
+    v = np.random.default_rng(seed).standard_normal((n, rank))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 @settings(max_examples=200)
 @given(small_graphs(), st.integers(0, 2**32 - 1))
 def test_power_step_never_lowers_objective(graph, seed):
     m = graph.dense()
-    v = _unit_blocks(graph.n, 2, 3, seed)
-    mv = np.einsum("ij,jbr->ibr", m, v)
-    y = np.einsum("ibr,ibr->ib", mv, v)
+    v = _unit_block(graph.n, 3, seed)
+    mv = m @ v
+    y = np.einsum("ir,ir->i", mv, v)
     lam_min = np.linalg.eigvalsh(m)[0]
     after = _power_step(v, mv, y, lam_min)
-    np.testing.assert_allclose(np.linalg.norm(after, axis=2), 1.0, rtol=1e-12)
-    before_obj = y.sum(axis=0)
-    after_obj = np.einsum("ibr,ij,jbr->b", after, m, after)
-    assert np.all(after_obj >= before_obj - 1e-9 * (1.0 + np.abs(before_obj)))
+    np.testing.assert_allclose(np.linalg.norm(after, axis=1), 1.0, rtol=1e-12)
+    before_obj = y.sum()
+    after_obj = np.einsum("ir,ij,jr->", after, m, after)
+    assert after_obj >= before_obj - 1e-9 * (1.0 + abs(before_obj))
 
 
 @settings(max_examples=100)
@@ -117,12 +117,13 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
     m = graph.dense()
     if not m.any():
         return
-    v, certified, steps = _ascend(m, _unit_blocks(graph.n, 3, 3, seed))
+    lam_min = float(np.linalg.eigvalsh(m)[0])
+    v, certified, steps = _ascend(m, _unit_block(graph.n, 3, seed), lam_min)
     assert 0 <= steps <= MAX_ITERS
     ml = ml_exhaustive(graph).objective
     tol = 1e-9 * (1.0 + abs(ml))
-    for b in np.flatnonzero(certified):
-        y = np.sum((m @ v[:, b]) * v[:, b], axis=1)
+    if certified:
+        y = np.sum((m @ v) * v, axis=1)
         bar = GAP_TOL * (1.0 + abs(y.sum()))
         gap = graph.n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1])
         assert gap <= bar + tol
@@ -130,6 +131,63 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
         # is at least ml, and the certified value is within the bar of it
         assert y.sum() + gap >= ml - tol
         assert y.sum() >= ml - bar - tol
+
+
+def test_sdp_stops_at_a_certified_first_restart():
+    g, _ = _planted(24, seed=2)
+    obj, first, certified, steps = oracles.sdp_restart(g.dense(), 0, 0)
+    assert certified and steps > 0
+    result = sdp_estimate(g, seed=0)
+    assert result.iterations == steps
+    assert result.status == "converged"
+    assert result.objective == obj
+    assert np.array_equal(result.labels, first)
+
+
+def _n50_draw(seed):
+    params = CbmParams.from_scale(50, 5.0, 0.1)
+    pre = np.array([1] * 25 + [-1] * 25, dtype=np.int8)
+    return perturb_graph(sample_cbm(params, pre, seed=seed), 1.5, seed=seed)
+
+
+# (graph, solver seed) with no restart certified after 3 steps: on the
+# perturbed draw restarts 1 and 2 tie above restart 0; on the single edge
+# every restart ties, and restarts 0 and 2 differ in the free nodes 2 and 3
+UNCERTIFIED = [
+    pytest.param(lambda: _n50_draw(8), 0, id="n50 draw 8"),
+    pytest.param(lambda: TernaryGraph(4, np.array([1, 0, 0, 0, 0, 0], np.int8)), 3, id="one edge"),
+]
+
+
+@pytest.mark.parametrize("make, seed", UNCERTIFIED)
+def test_sdp_runs_every_restart_when_none_certifies(monkeypatch, make, seed):
+    monkeypatch.setattr(recovery, "MAX_ITERS", 3)
+    g = make()
+    runs = [oracles.sdp_restart(g.dense(), seed, k) for k in range(recovery.RESTARTS)]
+    assert not any(certified for _, _, certified, _ in runs)
+    objs = [obj for obj, _, _, _ in runs]
+    win = objs.index(max(objs))
+    ties = [k for k in range(len(runs)) if objs[k] == objs[win]]
+    # each case exercises a half of the rule: a later restart wins, or a
+    # later tied restart has other labels
+    assert win > 0 or any(not np.array_equal(runs[k][1], runs[win][1]) for k in ties)
+    result = sdp_estimate(g, seed=seed)
+    assert result.status == "max_iters"
+    assert result.iterations == sum(steps for _, _, _, steps in runs) == 3 * recovery.RESTARTS
+    assert result.objective == objs[win]
+    assert np.array_equal(result.labels, runs[win][1])
+
+
+@pytest.mark.parametrize("window, count", [(1, 60), (17, 20)])
+def test_sdp_matches_the_all_restarts_rule(window, count):
+    # stopping at the first certified restart keeps the labels that running
+    # every restart and taking the best would give
+    for draw in range(count):
+        graphs = [_n50_draw(s) for s in range(100 * draw, 100 * draw + window)]
+        labels, objective, status = oracles.sdp_all_restarts(graphs, seed=draw)
+        result = sdp_estimate(graphs, seed=draw)
+        assert np.array_equal(result.labels, labels), draw
+        assert (result.objective, result.status) == (objective, status), draw
 
 
 def test_sdp_recovers_planted_labels():
