@@ -12,6 +12,7 @@ raw, estimates pass through a gated release mechanism, and the reported
 statistic carries Laplace noise against a noisy threshold.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,10 +97,11 @@ def _estimate(buffer, cfg, current, step):
             raise ValueError("fixed estimator needs a current estimate")
         return current
     graphs = list(buffer)
-    seed = derive_seed(cfg.seed, SOLVER, step)
+    # hashed only if the solver draws; spectral at small n draws nothing
+    seed = functools.partial(derive_seed, cfg.seed, SOLVER, step)
     if cfg.estimator == "sdp":
-        return canonical(sdp_estimate(graphs, seed).labels)
-    return canonical(spectral_estimate(graphs, seed=seed).labels)
+        return sdp_estimate(graphs, seed()).labels
+    return spectral_estimate(graphs, seed=seed).labels
 
 
 def _is_fresh(state):

@@ -7,9 +7,17 @@ trajectory are folds over it; a run-length campaign is a delay campaign
 whose change never comes (nu = inf). The one-shot sweeps (phase grid, the
 SDP-vs-spectral comparisons) share one seeded draw, `_one_shot`.
 
-Trials are reproducible regardless of scheduling: every random object is
-derived from (experiment seed, trial index, step index, purpose), so a
-parallel run and a serial run produce identical reports.
+Trials are reproducible regardless of scheduling. A trial's seed derives
+from (experiment seed, trial index); its graphs come from one Philox stream,
+generator(trial seed, SAMPLE), consumed in step order, and every other
+random object derives from the trial seed, a purpose tag and, if it is
+per step, the step index. So a parallel run and a serial run produce
+identical reports.
+
+Drawn graphs follow the law the runner observes: an LDP runner reads
+randomized-response output, which is CBM(sigma, p~, zeta~) exactly
+(`perturbed_params`), so its graphs are drawn from that law in one pass.
+Replayed streams hold raw graphs, and the LDP runner perturbs each one.
 
 Time accounting: detector states count scored statistics. Runners report
 delays as scored statistics from the first post-change one; the sample a
@@ -18,12 +26,11 @@ detector absorbs to initialize its estimate is not scored.
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rng import TRIAL, derive_seed, generator
+from ._rng import SAMPLE, TRIAL, derive_seed, generator
 from .cdp import release_assuming_stable, stability_release, subsample_stability_release
 from .detect import (
     DetectorConfig,
@@ -136,22 +143,54 @@ def _mechanism(spec):
     raise ValueError(f"unknown release mechanism {kind!r}")
 
 
+@dataclass(frozen=True)
+class _Law:
+    """A CBM law as `sample_cbm` reads it, without `CbmParams`' checks.
+
+    Randomized response on a graph with p = 0 reveals pairs with random
+    signs, CBM(p~, 1/2), which `CbmParams` refuses (zeta must stay below 1/2
+    for the labels to be identifiable) but `sample_cbm` draws exactly.
+    """
+
+    n: int
+    p: float
+    zeta: float
+
+
 class _LdpRunner:
+    """Scores randomized-response graphs at the perturbed-law parameters.
+
+    `law` and `observe` say what it reads: drawn graphs come straight from
+    the perturbed law, and a raw graph (a replayed stream's) is perturbed
+    first. A runner without them reads raw graphs.
+    """
+
     def __init__(self, scenario, spec, trial_seed):
         self.scenario = scenario
         self.kind = spec["kind"]
         self.epsilon = spec["epsilon"]
-        pre = scenario.params_pre
-        self.p_t, self.z_t = perturbed_params(pre.p, pre.zeta, self.epsilon)
+        self._laws = {}
+        observed = self.law(scenario.params_pre)
+        self.p_t, self.z_t = observed.p, observed.zeta
         self.cfg = _detector_cfg(spec, trial_seed)
         self.state = init_detector(scenario.pre, self.kind)
         self.rule = StoppingRule(b=spec["b"])
         self.trial_seed = trial_seed
 
-    def step(self, raw_graph, k):
-        fed = perturb_graph(raw_graph, self.epsilon, derive_seed(self.trial_seed, 2, k))
+    def law(self, params):
+        """CBM(p~, zeta~): params' law after randomized response, built once per regime."""
+        if params not in self._laws:
+            p_t, z_t = perturbed_params(params.p, params.zeta, self.epsilon)
+            self._laws[params] = _Law(params.n, p_t, z_t)
+        return self._laws[params]
+
+    def observe(self, raw_graph, k):
+        """Randomized response on the k-th raw graph, from its own seed."""
+        return perturb_graph(raw_graph, self.epsilon, derive_seed(self.trial_seed, 2, k))
+
+    def step(self, graph, k):
         step = ldp_step if self.kind == "LDP" else adaptive_step_unknown_params
-        self.state = step(self.state, fed, self.scenario.pre, self.p_t, self.z_t, self.cfg)
+        self.state = step(self.state, graph, self.scenario.pre, self.p_t, self.z_t, self.cfg)
         return ldp_stop(self.state, self.rule)
 
 
@@ -223,18 +262,32 @@ def _default_truncation(cfg):
     return 1000
 
 
-def _drawn(scenario, trial_seed, horizon):
-    """The scenario's graphs for samples 1..horizon, each drawn when asked for."""
+def _drawn(scenario, trial_seed, horizon, law):
+    """Graphs for samples 1..horizon at law(regime params), each drawn when asked for.
+
+    All of a trial's draws come from one stream, consumed in step order.
+    """
+    rng = generator(trial_seed, SAMPLE)
     for k in range(1, horizon + 1):
         labels, params = scenario.regime_at(k)
-        yield sample_cbm(params, labels, derive_seed(trial_seed, 1, k))
+        yield sample_cbm(law(params), labels, rng)
 
 
-def _steps(scenario, detector, trial_seed, graphs):
-    """Feed graphs to one trial's runner; yield (k, stopped, state) until it stops."""
+def _steps(scenario, detector, trial_seed, horizon, stream=None):
+    """Feed one trial's runner up to horizon graphs; yield (k, stopped, state) until it stops.
+
+    Graphs are drawn from the scenario at the law the runner observes, or
+    taken from a stream of raw graphs and passed through its `observe`.
+    """
     runner = make_runner(scenario, detector, trial_seed)
-    for k, raw in enumerate(graphs, 1):
-        stopped = runner.step(raw, k)
+    if stream is None:
+        law = getattr(runner, "law", lambda params: params)
+        graphs = _drawn(scenario, trial_seed, horizon, law)
+    else:
+        observe = getattr(runner, "observe", lambda raw, k: raw)
+        graphs = (observe(raw, k) for k, raw in enumerate(itertools.islice(stream, horizon), 1))
+    for k, graph in enumerate(graphs, 1):
+        stopped = runner.step(graph, k)
         yield k, stopped, runner.state
         if stopped:
             return
@@ -243,9 +296,7 @@ def _steps(scenario, detector, trial_seed, graphs):
 def _run_one_trial(scenario, detector, seed, truncation, trial):
     trial_seed = derive_seed(seed, TRIAL, trial)
     errors = []
-    for samples, stopped, state in _steps(
-        scenario, detector, trial_seed, _drawn(scenario, trial_seed, truncation)
-    ):
+    for samples, stopped, state in _steps(scenario, detector, trial_seed, truncation):
         # runner factories (stubs, fixed-label rigs) may carry no estimate
         sigma = getattr(state, "sigma_hat", None)
         if sigma is not None:
@@ -270,6 +321,9 @@ def _run_trials(cfg, scenario):
     truncation = _default_truncation(cfg)
     jobs = [(scenario, cfg.detector, cfg.seed, truncation, trial) for trial in range(cfg.trials)]
     if cfg.parallelism > 1:
+        # imported here: the module costs tens of ms and serial runs never need it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             return list(pool.map(_run_one_trial, *zip(*jobs)))
     return [_run_one_trial(*job) for job in jobs]
@@ -330,12 +384,8 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     trial_seed = derive_seed(seed, TRIAL, 0)
-    if stream is None:
-        graphs = _drawn(scenario, trial_seed, truncation)
-    else:
-        graphs = itertools.islice(stream, truncation)
     rows = []
-    for _, stopped, state in _steps(scenario, detector, trial_seed, graphs):
+    for _, stopped, state in _steps(scenario, detector, trial_seed, truncation, stream):
         sigma = getattr(state, "sigma_hat", None)
         ham = -1 if stream is not None or sigma is None else err(sigma, scenario.post)
         rows.append(

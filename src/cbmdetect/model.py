@@ -58,7 +58,9 @@ def validate_labels(labels, n=None):
         raise ValueError(f"expected {n} labels, got {arr.shape[0]}")
     if arr.shape[0] < 2:
         raise ValueError("need at least 2 nodes")
-    if not np.all(np.abs(arr) == 1):
+    # count_nonzero on the mask costs a fraction of np.all on it; this check
+    # runs several times per detector step
+    if np.count_nonzero(np.abs(arr) != 1):
         raise ValueError("labels must be +1 or -1")
     return arr.astype(np.int8)
 
@@ -239,10 +241,14 @@ def sample_cbm(params, labels, seed):
     """Draw one graph: reveal each pair w.p. p, flip its sign w.p. zeta.
 
     The upper triangle is drawn in one vectorized pass in row-major pair
-    order, so a fixed (params, labels, seed) triple is fully reproducible.
+    order, taking n(n-1)/2 uniforms. seed is an int, read as the stream
+    generator(seed, SAMPLE), so a fixed (params, labels, seed) triple is fully
+    reproducible; or a np.random.Generator, which the draw advances, so one
+    generator can feed a sequence of graphs in order. params is read only for
+    n, p and zeta.
     """
     labels = validate_labels(labels, params.n)
-    rng = generator(seed, SAMPLE)
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed, SAMPLE)
     u = rng.random(n_pairs(params.n))
     prod = np.multiply.outer(labels, labels)[_upper_mask(params.n)]
     keep = params.p * (1.0 - params.zeta)

@@ -188,6 +188,11 @@ def sdp_estimate(graphs, seed=0):
     return RecoveryResult(canonical(labels), obj, "converged" if certified else "max_iters", steps)
 
 
+def _read_seed(seed):
+    """An int seed as given, or the int a seed callable returns."""
+    return seed() if callable(seed) else seed
+
+
 def spectral_estimate(graphs, seed=0):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
@@ -197,15 +202,19 @@ def spectral_estimate(graphs, seed=0):
     from a seeded Gaussian start; status is "converged" when its Ritz
     residual met the bound, "max_iters" when n steps did not meet it. A zero
     M is flagged degenerate and yields random labels.
+
+    seed is an int, or a callable returning one that is called only when the
+    estimate draws, so a caller can skip deriving a seed that goes unread.
     """
     n, m = stack_dense(graphs)
     if not m.any():
-        labels = random_labels(n, generator(seed, SOLVER, 0))
+        labels = random_labels(n, generator(_read_seed(seed), SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     if n <= EIGH_MAX_N:
         x, converged, steps = np.linalg.eigh(m)[1][:, -1], True, 0
     else:
-        x, converged, steps = _top_eigenvector(m, generator(seed, SOLVER, 0).standard_normal(n))
+        start = generator(_read_seed(seed), SOLVER, 0).standard_normal(n)
+        x, converged, steps = _top_eigenvector(m, start)
     labels = _signs(x)
     obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters", steps)

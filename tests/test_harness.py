@@ -4,6 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cbmdetect import harness
+from cbmdetect._rng import TRIAL, derive_seed
+from cbmdetect.detect import DetectorConfig, init_detector, ldp_step
 from cbmdetect.harness import (
     ExperimentConfig,
     make_runner,
@@ -17,8 +20,8 @@ from cbmdetect.harness import (
     run_trajectory,
     theorem_boundary_a,
 )
-from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs
-from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices
+from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs, perturb_graph, perturbed_params
+from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices, sample_cbm
 
 
 def _scenario(n=6, p=0.8, zeta=0.1, nu=1, flips=(0,)):
@@ -261,6 +264,83 @@ def test_run_trajectory_stream_stops_at_truncation():
     rows = run_trajectory(sc, detector, truncation=2, seed=0, stream=stream)
     assert len(rows) == 2
     assert not any(r["stopped"] for r in rows)
+
+
+def test_run_trajectory_stream_is_perturbed_at_finite_epsilon():
+    # a replayed stream holds raw graphs; the LDP runner perturbs the k-th one
+    # from derive_seed(trial seed, 2, k), exactly as a hand-written fold does
+    sc = _scenario(n=12, p=0.9, nu=1, flips=(0, 1))
+    stream = [sample_cbm(sc.params_pre, sc.post, 40 + k) for k in range(1, 11)]
+    spec = {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "spectral"}
+    rows = run_trajectory(sc, spec, truncation=99, seed=2, stream=stream)
+    trial_seed = derive_seed(2, TRIAL, 0)
+    cfg = DetectorConfig(estimator="spectral", seed=derive_seed(trial_seed, 9))
+    p_t, z_t = perturbed_params(sc.params_pre.p, sc.params_pre.zeta, 1.5)
+    state = init_detector(sc.pre, "LDP")
+    stats = []
+    for k, raw in enumerate(stream, 1):
+        fed = perturb_graph(raw, 1.5, derive_seed(trial_seed, 2, k))
+        state = ldp_step(state, fed, sc.pre, p_t, z_t, cfg)
+        stats.append(state.stat)
+    assert [r["stat"] for r in rows] == stats
+    # the statistic moves, so a fold over the unperturbed stream would differ
+    assert len(set(stats)) > 2
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0])
+def test_ldp_trials_draw_the_perturbed_law(monkeypatch, p):
+    # criterion 01's setting: the graphs an LDP runner is fed follow
+    # CBM(p~, zeta~) pair by pair, within the same +-0.003; at p = 0 that
+    # law has zeta~ = 1/2, outside what CbmParams accepts
+    n = 1415
+    labels = np.ones(n, dtype=np.int8)
+    labels[n // 2 :] = -1
+    params = CbmParams(n=n, p=p, zeta=0.1)
+    sc = ChangeScenario(pre=labels, post=labels, nu=math.inf, params_pre=params, params_post=params)
+    fed = []
+    monkeypatch.setattr(harness, "ldp_step", lambda state, graph, *rest: fed.append(graph) or state)
+    spec = {"kind": "LDP", "b": 1.0, "epsilon": 1.0, "estimator": "fixed"}
+    run_trajectory(sc, spec, truncation=1, seed=0)
+    (graph,) = fed
+    i, j = pair_indices(n)
+    revealed = graph.upper != 0
+    disagree = graph.upper[revealed] == -(labels[i] * labels[j])[revealed]
+    p_t, z_t = perturbed_params(p, 0.1, 1.0)
+    np.testing.assert_allclose([revealed.mean(), disagree.mean()], [p_t, z_t], atol=3e-3)
+
+
+@pytest.mark.parametrize("kind", ["LDP", "LDP-adaptive"])
+def test_ldp_campaign_runs_on_into_an_empty_post_change_law(kind):
+    # p = 0 after the change is a valid scenario; its perturbed law
+    # (zeta~ = 1/2) must be drawn, not refused at the first post-change sample
+    sc = _scenario(n=10, nu=3)
+    post = CbmParams(n=10, p=0.0, zeta=0.1)
+    sc = ChangeScenario(sc.pre, sc.post, sc.nu, sc.params_pre, post)
+    spec = {"kind": kind, "b": 2.0, "epsilon": 1.5, "estimator": "spectral"}
+    cfg = ExperimentConfig(scenario=sc, detector=spec, trials=4, truncation=8)
+    report = run_delay_trials(cfg)
+    assert len(report.rows) == 4
+    assert max(r["samples"] for r in report.rows) > 3
+
+
+def test_drawn_ldp_campaign_samples_once_per_step(monkeypatch):
+    calls = {"sample_cbm": 0, "perturb_graph": 0}
+
+    def counting(name):
+        original = getattr(harness, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    spec = {"kind": "LDP", "b": 1.0, "epsilon": 1.5, "estimator": "spectral"}
+    cfg = ExperimentConfig(scenario=_scenario(n=10, nu=2), detector=spec, trials=5, truncation=9)
+    report = run_delay_trials(cfg)
+    assert calls == {"sample_cbm": sum(r["samples"] for r in report.rows), "perturb_graph": 0}
 
 
 def test_theorem_boundary_matches_margin_root():

@@ -84,6 +84,9 @@ def test_ratio_is_difference_of_log_likelihoods(pair, data, p, zeta):
     ratio = log_likelihood_ratio(graph, num, den, p, zeta)
     diff = log_likelihood(graph, num, p, zeta) - log_likelihood(graph, den, p, zeta)
     np.testing.assert_allclose(ratio, diff, rtol=1e-9, atol=1e-9)
+    # the score's integer gap of quadratic forms equals the per-pair sums exactly
+    gap = oracles.quad_form_by_pairs(graph, num) - oracles.quad_form_by_pairs(graph, den)
+    assert ratio == 0.25 * flip_gap(zeta) * gap
 
 
 def test_ratio_single_revealed_pair():

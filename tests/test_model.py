@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from cbmdetect._rng import SAMPLE, generator
 from cbmdetect.model import (
     CbmParams,
     ChangeScenario,
@@ -201,6 +202,10 @@ def test_sample_cbm_reproducible():
     g3 = sample_cbm(params, labels, seed=10)
     assert g1 == g2
     assert g1 != g3
+    # an int seed is the stream generator(seed, SAMPLE); a generator is advanced in place
+    rng = generator(9, SAMPLE)
+    assert sample_cbm(params, labels, rng) == g1
+    assert sample_cbm(params, labels, rng) != g1
 
 
 def test_sample_cbm_cell_frequencies():

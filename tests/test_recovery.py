@@ -300,6 +300,30 @@ def test_spectral_zero_graph_degenerate():
     assert result.status == "degenerate"
 
 
+def test_spectral_reads_a_seed_callable_only_when_it_draws():
+    calls = []
+
+    def seed():
+        calls.append(1)
+        return 9
+
+    def same(r1, r2):
+        return np.array_equal(r1.labels, r2.labels) and (r1.objective, r1.status, r1.iterations) == (
+            r2.objective,
+            r2.status,
+            r2.iterations,
+        )
+
+    # eigh path (n <= EIGH_MAX_N): no draw, so the callable is never called
+    g, _ = _planted(16, seed=8)
+    assert same(spectral_estimate(g, seed=seed), spectral_estimate(g, seed=9))
+    assert calls == []
+    # Lanczos start and degenerate labels read the same seed as the int
+    for graph in (_planted(EIGH_MAX_N + 1, seed=4)[0], TernaryGraph.zero(8)):
+        assert same(spectral_estimate(graph, seed=seed), spectral_estimate(graph, seed=9))
+    assert calls == [1, 1]
+
+
 def test_spectral_deterministic_given_seed():
     g, _ = _planted(16, seed=8)
     r1 = spectral_estimate(g, seed=9)
