@@ -22,12 +22,17 @@ def generator(seed, *key):
     """Philox generator for (seed, key).
 
     seed must be a non-negative integer; key entries are non-negative ints
-    identifying the consumer (purpose tag, trial index, step index, ...).
+    identifying the consumer (purpose tag, then a trial, restart or grid-cell index).
     """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def stream(seed, *key):
+    """A Generator seed as given (the draw advances it), an int as generator(seed, *key)."""
+    return seed if isinstance(seed, np.random.Generator) else generator(seed, *key)
 
 
 def derive_seed(seed, *key):

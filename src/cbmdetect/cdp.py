@@ -5,7 +5,8 @@ says how many edits the estimate survives gets Lap(1/epsilon) noise, and the
 labels come out only if the noisy distance clears log(1/delta)/epsilon
 (`_bar`). Otherwise the caller receives uniform random labels flagged as a
 non-release. The three mechanisms differ only in that distance: exact by
-enumeration, estimated from edge subsamples, or assumed.
+enumeration, estimated from edge subsamples, or assumed. Each reads its seed,
+an int or a Generator, as stream(seed, RELEASE) (SUBSAMPLE when subsampling).
 """
 
 import itertools
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import RELEASE, SUBSAMPLE, generator, laplace
+from ._rng import RELEASE, SUBSAMPLE, laplace, stream
 from .model import FOREIGN, TernaryGraph, canonical, n_pairs, random_labels
 
 
@@ -92,7 +93,7 @@ def stability_release(graph, budget, estimator, seed, cap=None):
     """
     bar = _bar(budget)
     d = distance_to_instability(graph, estimator, cap)
-    rng = generator(seed, RELEASE)
+    rng = stream(seed, RELEASE)
     return _gate(d, bar, budget, rng, graph.n, lambda: _call_estimator(estimator, graph))
 
 
@@ -120,7 +121,7 @@ def subsample_stability_release(graph, budget, estimator, seed, max_subgraphs=No
             RuntimeWarning,
         )
         count = max_subgraphs
-    rng = generator(seed, SUBSAMPLE)
+    rng = stream(seed, SUBSAMPLE)
     tally: dict[bytes, int] = {}
     pairs = n_pairs(n)
     for _ in range(count):
@@ -155,5 +156,5 @@ def release_assuming_stable(graph, budget, estimator, seed, assumed_distance=Non
         RuntimeWarning,
     )
     d = assumed_distance if assumed_distance is not None else bar + 4.0 / budget.epsilon
-    rng = generator(seed, RELEASE)
+    rng = stream(seed, RELEASE)
     return _gate(d, bar, budget, rng, graph.n, lambda: _call_estimator(estimator, graph))

@@ -108,14 +108,9 @@ def _detector_from_config(payload, args):
     detector = dict(payload.get("detector", {}))
     if args.mode is not None:
         detector["kind"] = _MODE_NAMES[args.mode.lower()]
-    if args.b is not None:
-        detector["b"] = args.b
-    if args.eps is not None:
-        detector["epsilon"] = args.eps
-    if args.delta is not None:
-        detector["delta"] = args.delta
-    if args.w is not None:
-        detector["window"] = args.w
+    for flag, key in (("b", "b"), ("eps", "epsilon"), ("delta", "delta"), ("w", "window")):
+        if getattr(args, flag) is not None:
+            detector[key] = getattr(args, flag)
     if "kind" not in detector:
         raise ValueError("detector kind missing: set it in the config or pass --mode")
     for key in ("b", "epsilon"):
@@ -267,6 +262,16 @@ def _add_mode(p):
     )
 
 
+def _add_detector_args(p):
+    """The experiment config and the flags that override its detector descriptor."""
+    p.add_argument("--config", required=True, help="experiment JSON path")
+    _add_mode(p)
+    p.add_argument("--b", type=float, default=None, help="stopping threshold")
+    _add_eps(p)
+    p.add_argument("--delta", type=float, default=None, help="privacy failure probability")
+    p.add_argument("--w", type=int, default=None, help="estimation window size")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="cbmdetect")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -295,24 +300,14 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True, help="solver seed")
 
     p = sub.add_parser("detect", help="run one detector trajectory")
-    p.add_argument("--config", required=True, help="experiment JSON path")
-    _add_mode(p)
-    p.add_argument("--b", type=float, default=None, help="stopping threshold")
-    _add_eps(p)
-    p.add_argument("--delta", type=float, default=None, help="privacy failure probability")
-    p.add_argument("--w", type=int, default=None, help="estimation window size")
+    _add_detector_args(p)
     p.add_argument("--truncation", type=int, default=None, help="max steps before giving up")
     p.add_argument("--stream", default=None, help="t,i,j,w CSV replacing sampling")
     p.add_argument("--seed", type=int, required=True, help="run seed")
     p.add_argument("--out", default=None, help="trajectory CSV path")
 
     p = sub.add_parser("simulate", help="delay or run-length campaign")
-    p.add_argument("--config", required=True, help="experiment JSON path")
-    _add_mode(p)
-    p.add_argument("--b", type=float, default=None, help="stopping threshold")
-    _add_eps(p)
-    p.add_argument("--delta", type=float, default=None, help="privacy failure probability")
-    p.add_argument("--w", type=int, default=None, help="estimation window size")
+    _add_detector_args(p)
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     p.add_argument("--truncation", type=int, default=None, help="max steps per trial")
     p.add_argument("--parallelism", type=int, default=1, help="worker processes")

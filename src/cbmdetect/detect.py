@@ -12,12 +12,11 @@ raw, estimates pass through a gated release mechanism, and the reported
 statistic carries Laplace noise against a noisy threshold.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._rng import LAPLACE, RELEASE, SOLVER, THRESHOLD, derive_seed, generator, laplace
+from ._rng import LAPLACE, PERTURB, RELEASE, THRESHOLD, laplace, stream
 from .cdp import stability_release
 from .ldp import perturb_graph
 from .likelihood import (
@@ -40,7 +39,9 @@ class DetectorConfig:
 
     estimator: str = "sdp"  # sdp | spectral | fixed
     window: int = 1  # estimate from the last `window` graphs
-    seed: int = 0  # solver randomness (restarts, degenerate fallbacks)
+    # solver randomness, one seed for every step of a trial: an all-zero window
+    # gets the same fallback labels at every step
+    seed: int = 0
 
     def __post_init__(self):
         if self.estimator not in ("sdp", "spectral", "fixed"):
@@ -91,17 +92,13 @@ def init_detector(pre_labels, mode):
     return DetectorState(sigma_hat=canonical(pre_labels), mode=mode)
 
 
-def _estimate(buffer, cfg, current, step):
+def _estimate(buffer, cfg, current):
     if cfg.estimator == "fixed":
         if current is None:
             raise ValueError("fixed estimator needs a current estimate")
         return current
-    graphs = list(buffer)
-    # hashed only if the solver draws; spectral at small n draws nothing
-    seed = functools.partial(derive_seed, cfg.seed, SOLVER, step)
-    if cfg.estimator == "sdp":
-        return sdp_estimate(graphs, seed()).labels
-    return spectral_estimate(graphs, seed=seed).labels
+    solve = sdp_estimate if cfg.estimator == "sdp" else spectral_estimate
+    return solve(list(buffer), seed=cfg.seed).labels
 
 
 def _is_fresh(state):
@@ -118,7 +115,7 @@ def _advance(state, graph, cfg, score):
     if not _is_fresh(state):
         state = replace(state, stat=max(state.stat + score(), 0.0), t=state.t + 1)
     buffer = (state.buffer + (graph,))[-cfg.window :]
-    return replace(state, sigma_hat=_estimate(buffer, cfg, state.sigma_hat, state.t), buffer=buffer)
+    return replace(state, sigma_hat=_estimate(buffer, cfg, state.sigma_hat), buffer=buffer)
 
 
 def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
@@ -153,12 +150,13 @@ def cdp_threshold(b, zeta, epsilon, seed):
     """Stopping rule with a Laplace-noised bar for the central setting.
 
     b_tilde = b + Lap(2 C / epsilon) with C the per-edge sensitivity; drawn
-    once per detection run. epsilon <= 4C is flagged, not rejected.
+    once per detection run, from stream(seed, THRESHOLD) (seed an int or a
+    Generator). epsilon <= 4C is flagged, not rejected.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon={epsilon} must be positive")
     c = sensitivity_constant(zeta)
-    bt = b + laplace(generator(seed, THRESHOLD), 2.0 * c / epsilon)
+    bt = b + laplace(stream(seed, THRESHOLD), 2.0 * c / epsilon)
     return StoppingRule(b=b, b_tilde=bt, sensitivity=c, eps_gt_4c=epsilon > 4.0 * c)
 
 
@@ -166,20 +164,22 @@ def cdp_step(state, raw_graph, pre_labels, p, zeta, budget, mechanism, seed):
     """Advance the central-privacy detector by one raw graph.
 
     The scored ratio uses the raw graph at the raw (p, zeta); sigma_hat
-    comes from `mechanism(graph, budget, seed) -> StabilityRelease` applied
+    comes from `mechanism(graph, budget, rng) -> StabilityRelease` applied
     to the previous sample, so the estimate never sees the sample it scores.
     noisy_stat = (pre-rectified sum) + Lap(4 C / epsilon) is what the
-    stopping rule reads. The first graph only seeds the estimate.
+    stopping rule reads. The first graph only seeds the estimate. The noise,
+    then the release, draw from stream(seed, LAPLACE) (seed an int or a Generator).
     """
     pre = canonical(pre_labels, raw_graph.n)
+    rng = stream(seed, LAPLACE)
     if _is_fresh(state):
-        rel = mechanism(raw_graph, budget, derive_seed(seed, RELEASE, 0))
+        rel = mechanism(raw_graph, budget, rng)
         return replace(state, sigma_hat=canonical(rel.labels), buffer=(raw_graph,))
     inc = log_likelihood_ratio(raw_graph, state.sigma_hat, pre, p, zeta)
     raw_sum = state.stat + inc
     c = sensitivity_constant(zeta)
-    noise = laplace(generator(seed, LAPLACE), 4.0 * c / budget.epsilon)
-    rel = mechanism(raw_graph, budget, derive_seed(seed, RELEASE, 1))
+    noise = laplace(rng, 4.0 * c / budget.epsilon)
+    rel = mechanism(raw_graph, budget, rng)
     return replace(
         state,
         stat=max(raw_sum, 0.0),
@@ -249,15 +249,15 @@ def estimate_prechange_ldp(historical, epsilon, seed):
     are estimated per perturbed graph and majority-voted, and (p, zeta) are
     ML-fit on the pooled perturbed graphs. Returned parameters describe the
     perturbed law, which is what the LDP detector scores against. Labels
-    come from the default (SDP) estimator.
+    come from the default (SDP) estimator. The perturbations draw in graph
+    order from one stream, stream(seed, PERTURB).
     """
     graphs = list(historical)
     if not graphs:
         raise ValueError("need at least one historical graph")
-    perturbed = [
-        perturb_graph(g, epsilon, derive_seed(seed, 0, k)) for k, g in enumerate(graphs)
-    ]
-    labs = [_estimate((g,), DetectorConfig(), None, 1 + k) for k, g in enumerate(perturbed)]
+    rng = stream(seed, PERTURB)
+    perturbed = [perturb_graph(g, epsilon, rng) for g in graphs]
+    labs = [_estimate((g,), DetectorConfig(), None) for g in perturbed]
     maj = _majority(labs)
     fit = mle_params_pooled(perturbed, maj)
     return PrechangeEstimate(maj, fit.p_hat, fit.zeta_hat, fit.degenerate)
@@ -269,18 +269,21 @@ def estimate_prechange_cdp(historical, budget, seed, mechanism=None):
     Labels go through the stability-gated release per graph and are
     majority-voted (falling back to the random stand-ins if nothing was
     released). The pooled (p, zeta) ML fit gets Lap(1/epsilon) noise on
-    each coordinate, then both are clamped back into their domains.
+    each coordinate, then both are clamped back into their domains. The
+    releases draw in graph order from stream(seed, RELEASE), the parameter
+    noise from stream(seed, LAPLACE).
     """
     graphs = list(historical)
     if not graphs:
         raise ValueError("need at least one historical graph")
     if mechanism is None:
         mechanism = lambda g, b, s: stability_release(g, b, ml_exhaustive, s)
-    rels = [mechanism(g, budget, derive_seed(seed, 1, k)) for k, g in enumerate(graphs)]
+    rng = stream(seed, RELEASE)
+    rels = [mechanism(g, budget, rng) for g in graphs]
     released = [r.labels for r in rels if r.released]
     maj = _majority(released if released else [r.labels for r in rels])
     fit = mle_params_pooled(graphs, maj)
-    rng = generator(seed, LAPLACE, 2)
+    rng = stream(seed, LAPLACE)
     p_hat = _clamp_p(fit.p_hat + laplace(rng, 1.0 / budget.epsilon))
     z_hat = fit.zeta_hat + laplace(rng, 1.0 / budget.epsilon)
     z_hat = min(max(z_hat, ZETA_CLAMP), 0.5 - ZETA_CLAMP)

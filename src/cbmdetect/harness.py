@@ -8,11 +8,11 @@ whose change never comes (nu = inf). The one-shot sweeps (phase grid, the
 SDP-vs-spectral comparisons) share one seeded draw, `_one_shot`.
 
 Trials are reproducible regardless of scheduling. A trial's seed derives
-from (experiment seed, trial index); its graphs come from one Philox stream,
-generator(trial seed, SAMPLE), consumed in step order, and every other
-random object derives from the trial seed, a purpose tag and, if it is
-per step, the step index. So a parallel run and a serial run produce
-identical reports.
+from (experiment seed, trial index) and owns one Philox stream per purpose,
+read in step order: SAMPLE for drawn graphs, PERTURB for replayed ones and
+LAPLACE for a central trial's bar, step noise and releases. Every estimate
+reuses one solver seed, derive_seed(trial seed, SOLVER). No seed depends on
+a step, so a parallel run and a serial run produce identical reports.
 
 Drawn graphs follow the law the runner observes: an LDP runner reads
 randomized-response output, which is CBM(sigma, p~, zeta~) exactly
@@ -24,13 +24,14 @@ delays as scored statistics from the first post-change one; the sample a
 detector absorbs to initialize its estimate is not scored.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._rng import SAMPLE, TRIAL, derive_seed, generator
+from ._rng import LAPLACE, PERTURB, SAMPLE, SOLVER, TRIAL, derive_seed, generator
 from .cdp import release_assuming_stable, stability_release, subsample_stability_release
 from .detect import (
     DetectorConfig,
@@ -114,7 +115,7 @@ def _detector_cfg(spec, trial_seed):
     return DetectorConfig(
         estimator=spec.get("estimator", "sdp"),
         window=spec.get("window", 1),
-        seed=derive_seed(trial_seed, 9),
+        seed=derive_seed(trial_seed, SOLVER),
     )
 
 
@@ -184,9 +185,14 @@ class _LdpRunner:
             self._laws[params] = _Law(params.n, p_t, z_t)
         return self._laws[params]
 
-    def observe(self, raw_graph, k):
-        """Randomized response on the k-th raw graph, from its own seed."""
-        return perturb_graph(raw_graph, self.epsilon, derive_seed(self.trial_seed, 2, k))
+    @functools.cached_property
+    def _perturb_rng(self):
+        # built on the first replayed graph; drawn trials never perturb
+        return generator(self.trial_seed, PERTURB)
+
+    def observe(self, raw_graph):
+        """Randomized response on the next raw graph, from the trial's PERTURB stream."""
+        return perturb_graph(raw_graph, self.epsilon, self._perturb_rng)
 
     def step(self, graph, k):
         step = ldp_step if self.kind == "LDP" else adaptive_step_unknown_params
@@ -196,27 +202,18 @@ class _LdpRunner:
 
 class _CdpRunner:
     def __init__(self, scenario, spec, trial_seed):
-        self.scenario = scenario
+        self.pre = scenario.pre
         self.budget = PrivacyBudget(spec["epsilon"], spec.get("delta", 0.05))
-        pre = scenario.params_pre
-        self.p, self.zeta = pre.p, pre.zeta
+        self.p, self.zeta = scenario.params_pre.p, scenario.params_pre.zeta
         self.mech = _mechanism(spec)
         self.state = init_detector(scenario.pre, "CDP")
-        self.rule = cdp_threshold(
-            spec["b"], self.zeta, spec["epsilon"], derive_seed(trial_seed, 4)
-        )
-        self.trial_seed = trial_seed
+        # the noisy bar, then every step's noise and release, in order
+        self.rng = generator(trial_seed, LAPLACE)
+        self.rule = cdp_threshold(spec["b"], self.zeta, spec["epsilon"], self.rng)
 
     def step(self, raw_graph, k):
         self.state = cdp_step(
-            self.state,
-            raw_graph,
-            self.scenario.pre,
-            self.p,
-            self.zeta,
-            self.budget,
-            self.mech,
-            derive_seed(self.trial_seed, 3, k),
+            self.state, raw_graph, self.pre, self.p, self.zeta, self.budget, self.mech, self.rng
         )
         return cdp_stop(self.state, self.rule)
 
@@ -284,8 +281,8 @@ def _steps(scenario, detector, trial_seed, horizon, stream=None):
         law = getattr(runner, "law", lambda params: params)
         graphs = _drawn(scenario, trial_seed, horizon, law)
     else:
-        observe = getattr(runner, "observe", lambda raw, k: raw)
-        graphs = (observe(raw, k) for k, raw in enumerate(itertools.islice(stream, horizon), 1))
+        observe = getattr(runner, "observe", lambda raw: raw)
+        graphs = map(observe, itertools.islice(stream, horizon))
     for k, graph in enumerate(graphs, 1):
         stopped = runner.step(graph, k)
         yield k, stopped, runner.state

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import PERTURB, generator
+from ._rng import PERTURB, stream
 from .model import FOREIGN, TernaryGraph, n_pairs
 
 # beyond this exp(eps) overflows float64; the mechanism is numerically the
@@ -61,11 +61,14 @@ class RrProbabilities:
 
 
 def perturb_graph(graph, epsilon, seed):
-    """Apply ternary randomized response to every pair of the graph."""
+    """Apply ternary randomized response to every pair of the graph.
+
+    seed, an int or a Generator, is read as stream(seed, PERTURB).
+    """
     probs = RrProbabilities.from_epsilon(epsilon)
     if probs.switch == 0.0:
         return TernaryGraph(graph.n, graph.upper.copy())
-    rng = generator(seed, PERTURB)
+    rng = stream(seed, PERTURB)
     u = rng.random(n_pairs(graph.n))
     code = (u >= probs.keep).view(np.int8) + (u >= probs.keep + probs.switch).view(np.int8)
     return TernaryGraph(graph.n, _RESPONSE[code * 3 + graph.upper + 1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import SAMPLE, generator
+from ._rng import SAMPLE, stream
 
 _PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _MASK_CACHE: dict[int, np.ndarray] = {}
@@ -248,7 +248,7 @@ def sample_cbm(params, labels, seed):
     n, p and zeta.
     """
     labels = validate_labels(labels, params.n)
-    rng = seed if isinstance(seed, np.random.Generator) else generator(seed, SAMPLE)
+    rng = stream(seed, SAMPLE)
     u = rng.random(n_pairs(params.n))
     prod = np.multiply.outer(labels, labels)[_upper_mask(params.n)]
     keep = params.p * (1.0 - params.zeta)

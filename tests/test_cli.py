@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cbmdetect.cli import VERB_MAP, main
+from cbmdetect import cli
+from cbmdetect.cli import VERB_MAP, build_parser, main
 from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv
 from cbmdetect.model import TernaryGraph, pair_indices, parse_labels
 from cbmdetect.theory import info_numbers
@@ -191,6 +192,42 @@ def test_detect_mode_override_is_case_insensitive(tmp_path):
             ["detect", "--config", path, "--mode", mode, "--truncation", "4", "--seed", "0"]
         )
         assert code in (0, 1)
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--b", 2.5, "b"), ("--eps", 3.0, "epsilon"), ("--delta", 0.2, "delta"), ("--w", 3, "window")],
+)
+def test_detector_flags_replace_config_values(tmp_path, monkeypatch, flag, value, key):
+    config = dict(POST_CONFIG, detector={**POST_CONFIG["detector"], "delta": 0.05, "window": 1})
+    seen = {}
+    real_trajectory, real_delay_trials = cli.run_trajectory, cli.run_delay_trials
+
+    def trajectory(scenario, detector, *args, **kwargs):
+        seen["detect"] = detector
+        return real_trajectory(scenario, detector, *args, **kwargs)
+
+    def delay_trials(cfg):
+        seen["simulate"] = cfg.detector
+        return real_delay_trials(cfg)
+
+    monkeypatch.setattr(cli, "run_trajectory", trajectory)
+    monkeypatch.setattr(cli, "run_delay_trials", delay_trials)
+    path = _write_config(tmp_path, config)
+    for verb in ("detect", "simulate"):
+        assert main([verb, "--config", path, flag, str(value), "--seed", "0"]) in (0, 1)
+    expected = {**config["detector"], key: value}
+    assert seen == {"detect": expected, "simulate": expected}
+
+
+def test_detect_and_simulate_share_detector_options():
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a.choices, dict)]
+
+    def options(verb):
+        return [s for a in verbs.choices[verb]._actions for s in a.option_strings]
+
+    shared = ["-h", "--help", "--config", "--mode", "--b", "--eps", "--eps-log-n", "--delta", "--w"]
+    assert options("detect")[: len(shared)] == options("simulate")[: len(shared)] == shared
 
 
 def test_detect_requires_detector_fields(tmp_path, capsys):

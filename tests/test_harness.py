@@ -4,8 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cbmdetect import harness
-from cbmdetect._rng import TRIAL, derive_seed
+from cbmdetect import detect, harness
+from cbmdetect._rng import PERTURB, SOLVER, TRIAL, derive_seed, generator
 from cbmdetect.detect import DetectorConfig, init_detector, ldp_step
 from cbmdetect.harness import (
     ExperimentConfig,
@@ -146,20 +146,21 @@ def test_make_runner_rejects_unknown_descriptor_keys():
 
 
 @pytest.mark.parametrize(
-    "release",
+    "release, warning",
     [
-        {"release": "stability", "release_estimator": "ml", "distance_cap": 1},
-        {"release": "subsample", "max_subgraphs": 5},
+        ({"release": "stability", "release_estimator": "ml", "distance_cap": 1}, None),
+        ({"release": "subsample", "max_subgraphs": 5}, "NOT"),
+        ({"release": "assumed", "release_estimator": "sdp"}, "not differentially private"),
     ],
-    ids=["stability", "subsample"],
+    ids=["stability", "subsample", "assumed-sdp"],
 )
-def test_cdp_release_routes_run_a_campaign(release):
+def test_cdp_release_routes_run_a_campaign(release, warning):
     detector = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": 0.05, **release}
     cfg = ExperimentConfig(
         scenario=_scenario(n=4, nu=1), detector=detector, trials=4, truncation=8, seed=0
     )
-    if release["release"] == "subsample":
-        with pytest.warns(RuntimeWarning, match="NOT"):
+    if warning is not None:
+        with pytest.warns(RuntimeWarning, match=warning):
             first = run_delay_trials(cfg)
         with pytest.warns(RuntimeWarning):
             second = run_delay_trials(cfg)
@@ -267,24 +268,88 @@ def test_run_trajectory_stream_stops_at_truncation():
 
 
 def test_run_trajectory_stream_is_perturbed_at_finite_epsilon():
-    # a replayed stream holds raw graphs; the LDP runner perturbs the k-th one
-    # from derive_seed(trial seed, 2, k), exactly as a hand-written fold does
+    # a replayed stream holds raw graphs; the LDP runner perturbs them in step
+    # order from one generator(trial seed, PERTURB), exactly as a hand-written
+    # fold does, and every estimate reuses the solver seed
     sc = _scenario(n=12, p=0.9, nu=1, flips=(0, 1))
     stream = [sample_cbm(sc.params_pre, sc.post, 40 + k) for k in range(1, 11)]
     spec = {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "spectral"}
     rows = run_trajectory(sc, spec, truncation=99, seed=2, stream=stream)
     trial_seed = derive_seed(2, TRIAL, 0)
-    cfg = DetectorConfig(estimator="spectral", seed=derive_seed(trial_seed, 9))
+    cfg = DetectorConfig(estimator="spectral", seed=derive_seed(trial_seed, SOLVER))
     p_t, z_t = perturbed_params(sc.params_pre.p, sc.params_pre.zeta, 1.5)
     state = init_detector(sc.pre, "LDP")
     stats = []
-    for k, raw in enumerate(stream, 1):
-        fed = perturb_graph(raw, 1.5, derive_seed(trial_seed, 2, k))
+    rng = generator(trial_seed, PERTURB)
+    for raw in stream:
+        fed = perturb_graph(raw, 1.5, rng)
         state = ldp_step(state, fed, sc.pre, p_t, z_t, cfg)
         stats.append(state.stat)
     assert [r["stat"] for r in rows] == stats
     # the statistic moves, so a fold over the unperturbed stream would differ
     assert len(set(stats)) > 2
+
+
+def _count_seed_hashes(monkeypatch):
+    """Patch numpy's SeedSequence with a subclass that counts its constructions."""
+    made = []
+
+    class Counting(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counting)
+    return made
+
+
+def _campaign(kind, **spec):
+    # a bar no statistic reaches, so every trial runs to its horizon
+    spec = {"kind": kind, "b": 1e6, "epsilon": 1.5, **spec}
+    return lambda sc, stream, horizon: run_arl_trials(
+        ExperimentConfig(scenario=sc, detector=spec, trials=2, truncation=horizon, seed=1)
+    )
+
+
+# (run of a given horizon, its trials, whether its detector calls sdp_estimate)
+SEEDING_RUNS = {
+    "cdp-campaign": (_campaign("CDP", release="assumed", release_estimator="spectral"), 2, False),
+    "ldp-sdp-campaign": (_campaign("LDP", estimator="sdp"), 2, True),
+    "replayed-trajectory": (
+        lambda sc, stream, horizon: run_trajectory(
+            sc, {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "sdp"}, horizon, 1, stream
+        ),
+        1,
+        True,
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("run", SEEDING_RUNS)
+def test_seed_hashes_per_trial_do_not_grow_with_steps(monkeypatch, run):
+    # a trial hashes the same number of seeds however many steps it runs, and
+    # every estimate in a trial gets the trial's one solver seed
+    sc = _scenario(n=8, nu=math.inf)
+    stream = [sample_cbm(sc.params_pre, sc.post, 40 + k) for k in range(12)]
+    fn, trials, uses_sdp = SEEDING_RUNS[run]
+    solver_seeds = [derive_seed(derive_seed(1, TRIAL, t), SOLVER) for t in range(trials)]
+    seen = []
+
+    def sdp_stub(graphs, seed):
+        seen.append(seed)
+        return SimpleNamespace(labels=np.ones(graphs[0].n, dtype=np.int8))
+
+    monkeypatch.setattr(detect, "sdp_estimate", sdp_stub)
+    hashes = []
+    for horizon in (3, 12):
+        made = _count_seed_hashes(monkeypatch)
+        seen.clear()
+        fn(sc, stream, horizon)
+        hashes.append(len(made))
+        expected = [s for s in solver_seeds for _ in range(horizon)] if uses_sdp else []
+        assert seen == expected
+    assert hashes[0] == hashes[1]
 
 
 @pytest.mark.parametrize("p", [0.5, 0.0])
