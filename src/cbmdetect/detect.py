@@ -169,13 +169,15 @@ def cdp_step(state, raw_graph, pre_labels, p, zeta, budget, mechanism, seed):
     noisy_stat = (pre-rectified sum) + Lap(4 C / epsilon) is what the
     stopping rule reads. The first graph only seeds the estimate. The noise,
     then the release, draw from stream(seed, LAPLACE) (seed an int or a Generator).
+    The mechanism's labels are checked and made canonical here, where they
+    enter; pre_labels are checked where they are scored, by the log-ratio,
+    whose value does not depend on their global sign.
     """
-    pre = canonical(pre_labels, raw_graph.n)
     rng = stream(seed, LAPLACE)
     if _is_fresh(state):
         rel = mechanism(raw_graph, budget, rng)
-        return replace(state, sigma_hat=canonical(rel.labels), buffer=(raw_graph,))
-    inc = log_likelihood_ratio(raw_graph, state.sigma_hat, pre, p, zeta)
+        return replace(state, sigma_hat=canonical(rel.labels, raw_graph.n), buffer=(raw_graph,))
+    inc = log_likelihood_ratio(raw_graph, state.sigma_hat, pre_labels, p, zeta)
     raw_sum = state.stat + inc
     c = sensitivity_constant(zeta)
     noise = laplace(rng, 4.0 * c / budget.epsilon)
@@ -184,7 +186,7 @@ def cdp_step(state, raw_graph, pre_labels, p, zeta, budget, mechanism, seed):
         state,
         stat=max(raw_sum, 0.0),
         noisy_stat=raw_sum + noise,
-        sigma_hat=canonical(rel.labels),
+        sigma_hat=canonical(rel.labels, raw_graph.n),
         buffer=(raw_graph,),
         t=state.t + 1,
     )

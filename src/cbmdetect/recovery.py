@@ -4,11 +4,12 @@ Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation stopped by a
 duality-gap certificate (seeded restarts run in turn until one is
 certified), the signs of M's top eigenvector, and exhaustive search for
-small n. The eigenvector comes from one dense `eigh` call up to
-n = EIGH_MAX_N, where that is faster, and from Lanczos above it. Each status
-says whether its solver met its bound. All return canonical labels (first
-entry +1). The solvers' settings are the module constants GAP_TOL,
-MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
+small n. Up to n = EIGH_MAX_N the eigenvector's signs come from M's
+eigenvalues and one linear solve whose signs a Davis-Kahan bound certifies,
+with `eigh` where the bound fails; above EIGH_MAX_N they come from Lanczos.
+Each status says whether its solver met its bound. All return canonical
+labels (first entry +1). The solvers' settings are the module constants
+GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
 """
 
 import math
@@ -25,7 +26,8 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
-    # solver steps: SDP ascent steps summed over the restarts run, or Lanczos; 0 for eigh and ML
+    # solver steps: SDP ascent steps summed over the restarts run, or Lanczos; 0 for
+    # the dense spectral path and ML
     iterations: int = 0
 
 
@@ -90,9 +92,48 @@ def _ascend(m, v, lam_min):
         v = _power_step(v, mv, y, lam_min)
 
 
-EIGH_MAX_N = 128  # largest n whose top eigenvector comes from one eigh call
-RITZ_TOL = 1e-10  # Ritz residual bound, relative to max(1, |theta|)
+EIGH_MAX_N = 128  # largest n whose top eigenvector is found densely; Lanczos above it
+# Ritz residual bound, relative to max(1, |theta|); also the dense path's shift past theta
+RITZ_TOL = 1e-10
 RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
+
+
+def _dense_top_eigenvector(m):
+    """Vector with the entrywise signs of symmetric m's top eigenvector v.
+
+    eigvalsh gives theta, the computed lambda_1, and the computed gap
+    lambda_1 - lambda_2. e = n eps ||m||_F bounds each of three rounding
+    errors: |theta - lambda_1|, |lambda_2's computed value - lambda_2|, and
+    the error of the computed residual r = m x - theta x. One LU solve of
+    ((theta + tol) I - m) x = (1, ..., n), tol = RITZ_TOL * max(1, |theta|),
+    is a step of inverse iteration (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 4); nothing is drawn. By Davis & Kahan (SIAM J. Numer. Anal.
+    7(1), 1970) the angle between unit x and v has sine at most
+    ||m x - lambda_1 x|| / (lambda_1 - lambda_2), and ||x -+ v||_inf is at
+    most sqrt(2) times that sine. The true residual is at most ||r|| + 2e
+    (the residual's rounding plus theta's) and the true gap at least the
+    computed gap less 2e (both eigenvalues' errors). So once sqrt(2)
+    (||r|| + 2e) < (computed gap - 2e) min_i |x_i|, x has v's signs up to
+    a global flip, and no entry of v is zero. Otherwise (a repeated
+    lambda_1, an entry of v near zero) the result is the last column of
+    eigh(m). An m with an all-zero row goes to eigh directly: its isolated
+    node is an exact zero of v whenever lambda_1 > 0, so the certificate
+    could not pass.
+    """
+    n = len(m)
+    if m.any(axis=1).all():
+        lam = np.linalg.eigvalsh(m)
+        theta = lam[-1]
+        e = n * np.finfo(np.float64).eps * math.sqrt(lam @ lam)  # ||m||_F = ||lambda||_2
+        a = np.negative(m)
+        a.flat[:: n + 1] += theta + RITZ_TOL * max(1.0, abs(theta))
+        x = np.linalg.solve(a, np.arange(1.0, n + 1.0))
+        x /= math.sqrt(x @ x)
+        r = m @ x - theta * x
+        gap = theta - lam[-2] - 2.0 * e
+        if math.sqrt(2.0) * (math.sqrt(r @ r) + 2.0 * e) < gap * np.abs(x).min():
+            return x
+    return np.linalg.eigh(m)[1][:, -1]
 
 
 def _top_eigenvector(m, start):
@@ -191,19 +232,21 @@ def sdp_estimate(graphs, seed=0):
 def spectral_estimate(graphs, seed=0):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
-    Up to n = EIGH_MAX_N the eigenvector is the last column of one
-    `np.linalg.eigh(M)` call: status "converged" (LAPACK raises if it
-    fails), 0 iterations, and no random draw. Above it, Lanczos runs on M
-    from a seeded Gaussian start; status is "converged" when its Ritz
-    residual met the bound, "max_iters" when n steps did not meet it. A zero
-    M is flagged degenerate and yields random labels.
+    Up to n = EIGH_MAX_N the signs come from M's eigenvalues and one
+    sign-certified linear solve, or from `np.linalg.eigh(M)` where the
+    certificate cannot pass (see _dense_top_eigenvector): status
+    "converged" (LAPACK raises if it fails), iterations 0, and nothing is
+    drawn. Above EIGH_MAX_N, Lanczos runs on M from a seeded Gaussian start;
+    status is "converged" when its Ritz residual met the bound, "max_iters"
+    when n steps did not meet it. A zero M is flagged degenerate and yields
+    random labels.
     """
     n, m = stack_dense(graphs)
     if not m.any():
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     if n <= EIGH_MAX_N:
-        x, converged, steps = np.linalg.eigh(m)[1][:, -1], True, 0
+        x, converged, steps = _dense_top_eigenvector(m), True, 0
     else:
         start = generator(seed, SOLVER, 0).standard_normal(n)
         x, converged, steps = _top_eigenvector(m, start)

@@ -22,7 +22,9 @@ from cbmdetect.recovery import (
     MAX_ITERS,
     RITZ_TOL,
     _ascend,
+    _dense_top_eigenvector,
     _power_step,
+    _signs,
     _top_eigenvector,
     ml_exhaustive,
     sdp_estimate,
@@ -231,11 +233,22 @@ def test_spectral_recovers_planted_labels():
     assert err(result.labels, labels) == 0
 
 
-# (n, a, seed) of perturbed draws (zeta=0.1, eps=1.5). Power iteration on
-# the shifted matrix ran out of iterations on all but the first two, and the
-# two draws at a < 5 have an eigengap below 0.01. The n=50 draws take the
-# eigh path of spectral_estimate, the n=200 ones Lanczos; Lanczos itself is
-# also run on every draw.
+def _perturbed_draw(n, a, seed):
+    """One graph of CBM(a log(n)/n, zeta=0.1) on two halves, after eps=1.5 randomized response."""
+    params = CbmParams.from_scale(n, a, 0.1)
+    pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+    return perturb_graph(sample_cbm(params, pre, seed=seed), 1.5, seed=seed)
+
+
+def _eigh_signs(m):
+    return canonical(_signs(np.linalg.eigh(m)[1][:, -1]))
+
+
+# (n, a, seed) of perturbed draws (_perturbed_draw). Power iteration on the
+# shifted matrix ran out of iterations on all but the first two, and the two
+# draws at a < 5 have an eigengap below 0.01. The n=50 draws take the dense
+# path of spectral_estimate, the n=200 ones Lanczos; Lanczos itself is also
+# run on every draw.
 HARD_DRAWS = [
     (50, 5.0, 0),
     (200, 5.0, 0),
@@ -248,9 +261,7 @@ HARD_DRAWS = [
 
 @pytest.mark.parametrize("n, a, seed", HARD_DRAWS)
 def test_spectral_converges_to_eigh_signs(n, a, seed):
-    params = CbmParams.from_scale(n, a, 0.1)
-    pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
-    g = perturb_graph(sample_cbm(params, pre, seed=seed), 1.5, seed=seed)
+    g = _perturbed_draw(n, a, seed)
     evals, evecs = np.linalg.eigh(g.dense())
     if a < 5.0:
         assert evals[-1] - evals[-2] < 0.01
@@ -293,6 +304,65 @@ def test_top_eigenvector_is_top_eigenpair(graph):
     theta = float(x @ m @ x)
     np.testing.assert_allclose(theta, np.linalg.eigvalsh(m)[-1], atol=1e-9)
     assert np.linalg.norm(m @ x - theta * x) <= RITZ_TOL * max(1.0, abs(theta))
+
+
+@st.composite
+def doubled_graphs(draw):
+    """Two disjoint copies of a small graph: every eigenvalue, lambda_1 too, is repeated."""
+    g = draw(small_graphs())
+    m = np.zeros((2 * g.n, 2 * g.n))
+    m[: g.n, : g.n] = m[g.n :, g.n :] = g.dense()
+    return TernaryGraph.from_dense(m)
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_graphs(), doubled_graphs()))
+def test_dense_top_eigenvector_has_eigh_signs(graph):
+    # small graphs bring isolated nodes (an exact zero in v), doubled ones a
+    # repeated lambda_1; the certificate must pass neither, so eigh decides
+    m = graph.dense()
+    assert np.array_equal(canonical(_signs(_dense_top_eigenvector(m))), _eigh_signs(m))
+
+
+@pytest.mark.parametrize("n", [50, 100, EIGH_MAX_N])
+@pytest.mark.parametrize("a", [2.0, 5.0])
+def test_spectral_dense_path_has_eigh_signs(n, a):
+    for seed in range(8):
+        g = _perturbed_draw(n, a, seed)
+        result = spectral_estimate(g, seed=0)
+        assert (result.status, result.iterations) == ("converged", 0)
+        assert np.array_equal(result.labels, _eigh_signs(g.dense()))
+
+
+def _isolate_node_0(g):
+    m = g.dense().copy()
+    m[0] = m[:, 0] = 0.0
+    return TernaryGraph.from_dense(m)
+
+
+@pytest.mark.parametrize(
+    "make, eigh_calls",
+    [
+        (lambda seed: _perturbed_draw(50, 5.0, seed), 0),
+        (lambda seed: _isolate_node_0(_perturbed_draw(50, 5.0, seed)), 1),
+        (lambda seed: _planted(8, seed)[0], 0),
+    ],
+    ids=["n50-a5", "n50-isolated-node", "n8-planted"],
+)
+def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make, eigh_calls):
+    # a graph sent to eigh costs no eigvalsh call and no solve first
+    graphs = [make(seed) for seed in range(10)]
+    want = [_eigh_signs(g.dense()) for g in graphs]
+    counted = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
+        monkeypatch.setattr(np.linalg, name, counting)
+    got = [spectral_estimate(g, seed=0).labels for g in graphs]
+    assert counted.count("eigh") == eigh_calls * len(graphs)
+    assert counted.count("eigvalsh") == (1 - eigh_calls) * len(graphs)
+    for labels, eigh_labels in zip(got, want):
+        assert np.array_equal(labels, eigh_labels)
 
 
 def test_spectral_zero_graph_degenerate():
