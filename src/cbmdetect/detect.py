@@ -125,14 +125,14 @@ def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
     pre-change labels at the perturbed-law parameters, rectifies at zero,
     then re-estimates sigma_hat from the last `window` graphs. The very
     first graph is only absorbed into the estimate; nothing is scored and t
-    stays 0.
+    stays 0. pre_labels are checked where they are scored, by the log-ratio,
+    whose value does not depend on their global sign.
     """
-    pre = canonical(pre_labels, new_graph.n)
     return _advance(
         state,
         new_graph,
         cfg or DetectorConfig(),
-        lambda: log_likelihood_ratio(new_graph, state.sigma_hat, pre, p_tilde, zeta_tilde),
+        lambda: log_likelihood_ratio(new_graph, state.sigma_hat, pre_labels, p_tilde, zeta_tilde),
     )
 
 
@@ -209,15 +209,16 @@ def adaptive_step_unknown_params(state, new_graph, pre_labels, p_pre, zeta_pre, 
     The numerator uses sigma_hat with (p_hat, zeta_hat) ML-fit on the
     previous sample; the denominator is the pre-change triple. A sample with
     no revealed pair cannot be fit: the next score is 0 and
-    degenerate_steps counts the occurrence.
+    degenerate_steps counts the occurrence. pre_labels are checked where
+    they are scored, by the log-likelihood, whose value does not depend on
+    their global sign.
     """
-    pre = canonical(pre_labels, new_graph.n)
 
     def score():
         if state.p_hat is None:
             return 0.0
         num = log_likelihood(new_graph, state.sigma_hat, _clamp_p(state.p_hat), state.zeta_hat)
-        return num - log_likelihood(new_graph, pre, p_pre, zeta_pre)
+        return num - log_likelihood(new_graph, pre_labels, p_pre, zeta_pre)
 
     nxt = _advance(state, new_graph, cfg or DetectorConfig(), score)
     fit = mle_params(new_graph, nxt.sigma_hat)

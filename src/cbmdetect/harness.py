@@ -45,7 +45,7 @@ from .detect import (
     ldp_stop,
 )
 from .ldp import PrivacyBudget, ldp_recovery_margin, perturb_graph, perturbed_params
-from .model import CbmParams, ChangeScenario, err, random_labels, sample_cbm
+from .model import CbmParams, ChangeScenario, err, random_labels, sample_cbm, validate_labels
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 
 __all__ = [
@@ -290,6 +290,12 @@ def _steps(scenario, detector, trial_seed, horizon, stream=None):
             return
 
 
+def _post_error(sigma, post):
+    """err(sigma, post), checking sigma only: a scenario's post is canonical already."""
+    d = int(np.count_nonzero(validate_labels(sigma, len(post)) != post))
+    return min(d, len(post) - d)
+
+
 def _run_one_trial(scenario, detector, seed, truncation, trial):
     trial_seed = derive_seed(seed, TRIAL, trial)
     errors = []
@@ -297,7 +303,7 @@ def _run_one_trial(scenario, detector, seed, truncation, trial):
         # runner factories (stubs, fixed-label rigs) may carry no estimate
         sigma = getattr(state, "sigma_hat", None)
         if sigma is not None:
-            errors.append(err(sigma, scenario.post))
+            errors.append(_post_error(sigma, scenario.post))
     # scored statistics lag samples by one when the first sample only seeded
     offset = samples - state.t
     pre_stats = max(int(scenario.nu) - 1 - offset, 0) if scenario.nu != math.inf else 0
@@ -384,7 +390,7 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     rows = []
     for _, stopped, state in _steps(scenario, detector, trial_seed, truncation, stream):
         sigma = getattr(state, "sigma_hat", None)
-        ham = -1 if stream is not None or sigma is None else err(sigma, scenario.post)
+        ham = -1 if stream is not None or sigma is None else _post_error(sigma, scenario.post)
         rows.append(
             {
                 "t": state.t,

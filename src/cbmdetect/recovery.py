@@ -4,15 +4,18 @@ Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation stopped by a
 duality-gap certificate (seeded restarts run in turn until one is
 certified), the signs of M's top eigenvector, and exhaustive search for
-small n. Up to n = EIGH_MAX_N the eigenvector's signs come from M's
-eigenvalues and one linear solve whose signs a Davis-Kahan bound certifies,
-with `eigh` where the bound fails; above EIGH_MAX_N they come from Lanczos.
-Each status says whether its solver met its bound. All return canonical
-labels (first entry +1). The solvers' settings are the module constants
-GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
+small n. The certificate is weak duality at the ascent's own dual or at one
+extrapolated from its recent steps, which proves the gap long before the
+first-order dual can. Up to n = EIGH_MAX_N the eigenvector's signs come
+from M's eigenvalues and one linear solve whose signs a Davis-Kahan bound
+certifies, with `eigh` where the bound fails; above EIGH_MAX_N they come
+from Lanczos. Each status says whether its solver met its bound. All return
+canonical labels (first entry +1). The solvers' settings are the module
+constants GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +29,9 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
-    # solver steps: SDP ascent steps summed over the restarts run, or Lanczos; 0 for
-    # the dense spectral path and ML
+    # solver steps: SDP ascent steps summed over the restarts run (each up to
+    # the check that certified it, or MAX_ITERS), or Lanczos; 0 for the dense
+    # spectral path and ML
     iterations: int = 0
 
 
@@ -53,6 +57,12 @@ MAX_ITERS = 300  # ascent steps per restart before giving up uncertified
 RESTARTS = 3  # seeded restarts, run in turn until one is certified
 
 
+def _rownormalize(w, v):
+    """w with unit rows; rows of w that are zero take v's."""
+    norms = np.sqrt(np.einsum("ir,ir->i", w, w))[:, None]
+    return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
+
+
 def _power_step(v, mv, y, lam_min):
     """V <- rownormalize((M + s I) V); rows with a zero image stay.
 
@@ -61,34 +71,73 @@ def _power_step(v, mv, y, lam_min):
     Sepulchre, JMLR 2010) and, as |a_i| >= y_i + s, for 2 s >= -lam_min - min y.
     s is the smaller of the two, at least 0.
     """
-    w = mv + min(max((-lam_min - y.min()) / 2.0, 0.0), -lam_min) * v
-    norms = np.sqrt(np.einsum("ir,ir->i", w, w))[:, None]
-    return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
+    return _rownormalize(mv + min(max((-lam_min - y.min()) / 2.0, 0.0), -lam_min) * v, v)
+
+
+def _extrapolate(xs):
+    """Weights g, summing to 1, with g @ xs[:-1] the MPE limit of the rows of xs; or None.
+
+    Minimal polynomial extrapolation (Sidi, Ford & Smith, SIAM J. Numer.
+    Anal. 23(1), 1986): with u_j = xs[j + 1] - xs[j], c minimizes
+    ||sum_j c_j u_j|| in least squares with its last entry fixed at 1, and
+    g = c / sum c. Exact when xs[j] - x is a sum of at most len(xs) - 2
+    geometric modes. None when the u_j are all zero or sum c is.
+    """
+    u = np.diff(xs, axis=0)
+    if not u.any():
+        return None
+    c = np.append(np.linalg.lstsq(u[:-1].T, -u[-1], rcond=None)[0], 1.0)
+    total = c.sum()
+    return None if total == 0.0 else c / total
 
 
 def _ascend(m, v, lam_min):
-    """(V, certified, steps): shifted power ascent of the n x rank block V.
+    """(V, certified, steps, y, f): shifted power ascent of the n x rank block V.
 
-    With y_i = <(M V)_i, v_i> it stops once n lambda_max(M - Diag(y))+ <=
-    GAP_TOL (1 + |sum y|), the weak-duality bound on its distance from the
-    SDP optimum. This O(n^3) check runs every GAP_EVERY steps once the
-    Riemannian gradient meets the same bar; each failure doubles the wait
-    before the next one. lam_min is M's smallest eigenvalue.
+    Every GAP_EVERY steps it tries to prove f = sum y, with y_i = <(M V)_i,
+    v_i>, within GAP_TOL (1 + |f|) of the SDP optimum. For every dual y' and
+    every feasible Y, tr(M Y) <= sum y' + n lambda_max(M - Diag(y'))+, so it
+    stops once that bound is within the bar of f. y' = y is tried once the
+    Riemannian gradient meets the bar, until its bound first fails. y is
+    accurate to first order only, so otherwise y' is the MPE extrapolation
+    (_extrapolate) of y over the last GAP_EVERY + 1 steps, which is much
+    closer to the optimal dual; it is tried once an Aitken estimate of f's
+    remaining rise is within the bar. At most one O(n^3) bound runs per
+    check. A block certified by an extrapolated y' is the same extrapolation
+    of V, rows renormalized; else V is the current block. y and f are the
+    certificate's dual and objective, or the current ones if none passed.
+    lam_min is M's smallest eigenvalue.
     """
     n = len(v)
-    due, wait = 0, GAP_EVERY
+    ys, vs = deque(maxlen=GAP_EVERY + 1), deque(maxlen=GAP_EVERY + 1)
+    try_y = True
     for it in range(MAX_ITERS + 1):
         mv = m @ v
         y = np.einsum("ir,ir->i", mv, v)
-        if it % GAP_EVERY == 0 and it >= due:
-            bar = GAP_TOL * (1.0 + abs(y.sum()))
-            if 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar:
-                if n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1]) <= bar:
-                    return v, True, it
-                wait *= 2
-                due = it + wait
+        ys.append(y)
+        vs.append(v)
+        if it % GAP_EVERY == 0:
+            f = y.sum()
+            bar = GAP_TOL * (1.0 + abs(f))
+            dual, g = y, None
+            due = try_y and 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar
+            if not due and len(ys) == ys.maxlen:
+                rise, last = ys[-2].sum() - ys[-3].sum(), f - ys[-2].sum()
+                # Aitken: a rise shrinking by last / rise per step has last^2 / (rise - last) to go
+                if last <= 0.0 or (last < rise and last * last <= bar * (rise - last)):
+                    xs = np.array(ys)
+                    g = _extrapolate(xs)
+                    due = g is not None
+                    if due:
+                        dual = g @ xs[:-1]
+            if due:
+                if dual.sum() + n * max(0.0, np.linalg.eigvalsh(m - np.diag(dual))[-1]) - f <= bar:
+                    if g is not None:
+                        v = _rownormalize(sum(gj * vj for gj, vj in zip(g, vs)), v)
+                    return v, True, it, dual, f
+                try_y = try_y and g is not None
         if it == MAX_ITERS:
-            return v, False, it
+            return v, False, it, y, y.sum()
         v = _power_step(v, mv, y, lam_min)
 
 
@@ -202,11 +251,13 @@ def sdp_estimate(graphs, seed=0):
     Restart k ascends an n x rank block V (rank ceil(sqrt(2n)), at most n;
     Boumal, Voroninski & Bandeira, arXiv:1606.04970) from generator(seed,
     SOLVER, k). Restarts run in seed order and stop at the first certified
-    one, whose certificate already bounds its gap to the SDP optimum. Each
-    rounds by the sign of its top left singular vector and polishes with
-    single flips; among the restarts that ran the best objective wins,
-    earliest on ties, "converged" if it was certified. `iterations` sums the
-    ascent steps of the restarts that ran.
+    one, whose certificate (see _ascend: weak duality at the ascent's dual
+    or at its extrapolation) already bounds its gap to the SDP optimum.
+    Each rounds by the sign of the top left singular vector of its block
+    (the extrapolated one where the extrapolated dual certified it) and
+    polishes with single flips; among the restarts that ran the best
+    objective wins, earliest on ties, "converged" if it was certified.
+    `iterations` sums the ascent steps of the restarts that ran.
     """
     n, m = stack_dense(graphs)
     if not m.any():
@@ -217,7 +268,7 @@ def sdp_estimate(graphs, seed=0):
     best, steps = None, 0
     for k in range(RESTARTS):
         v = generator(seed, SOLVER, k).standard_normal((n, rank))
-        v, certified, it = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+        v, certified, it, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
         steps += it
         labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
         obj = float(labels @ m @ labels)

@@ -186,7 +186,7 @@ def sdp_restart(m, seed, k):
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
     v = generator(seed, SOLVER, k).standard_normal((n, rank))
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    v, certified, steps = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+    v, certified, steps, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
     labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
     return float(labels @ m @ labels), canonical(labels), certified, steps
 

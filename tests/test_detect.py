@@ -191,6 +191,25 @@ def test_adaptive_step_degenerate_sample():
     assert state.t == 1
 
 
+@pytest.mark.parametrize(
+    "step, mode", [(ldp_step, "LDP"), (adaptive_step_unknown_params, "LDP-adaptive")]
+)
+@pytest.mark.parametrize(
+    "bad", [PRE[:5], np.array([1, 1, 0, -1, -1, -1], np.int8)], ids=["short", "zero entry"]
+)
+def test_malformed_pre_labels_raise_at_the_first_scored_step(step, mode, bad):
+    # pre_labels are checked where they are scored; the seed-only first
+    # step scores nothing, so the check comes with the second sample
+    g = sample_cbm(CbmParams(n=6, p=0.9, zeta=0.05), POST, seed=3)
+    state = step(init_detector(PRE, mode), g, bad, 0.9, 0.05, FIXED)
+    assert state.t == 0
+    with pytest.raises(ValueError):
+        step(state, g, bad, 0.9, 0.05, FIXED)
+    # the global sign is free: -PRE scores like PRE
+    good = step(state, g, PRE, 0.9, 0.05, FIXED)
+    assert step(state, g, -PRE, 0.9, 0.05, FIXED).stat == good.stat
+
+
 def test_prechange_ldp_estimate():
     params = CbmParams(n=30, p=0.9, zeta=0.05)
     labels = np.array([1] * 15 + [-1] * 15, dtype=np.int8)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cbmdetect
 from cbmdetect import detect, harness
 from cbmdetect._rng import PERTURB, SOLVER, TRIAL, derive_seed, generator
 from cbmdetect.detect import DetectorConfig, init_detector, ldp_step
@@ -62,6 +67,40 @@ class RecordsUppers(NeverStops):
     def step(self, raw, k):
         type(self).seen.append(raw.upper.copy())
         return super().step(raw, k)
+
+
+def _carrying(labels):
+    """Factory for a StopAtThree whose state carries a fixed estimate, checked or not."""
+
+    def make(scenario, trial_seed):
+        runner = StopAtThree(scenario, trial_seed)
+        runner.state.sigma_hat = labels
+        return runner
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "labels, errors",
+    [
+        (np.array([-1, -1, -1, 1, 1, 1], np.int8), [1, 1, 1]),  # one node off _scenario's post
+        (np.array([1, 1, 1, -1, -1], np.int8), None),
+        (np.array([1, 1, 0, -1, -1, -1], np.int8), None),
+    ],
+    ids=["valid", "short", "zero entry"],
+)
+def test_runner_estimates_are_checked_at_every_step(labels, errors):
+    sc = _scenario(nu=1)
+    cfg = ExperimentConfig(scenario=sc, detector=_carrying(labels), trials=1, truncation=10)
+    if errors is None:
+        with pytest.raises(ValueError):
+            run_delay_trials(cfg)
+        with pytest.raises(ValueError):
+            run_trajectory(sc, _carrying(labels), 10, seed=0)
+        return
+    assert run_delay_trials(cfg).rows[0]["errors"] == errors
+    rows = run_trajectory(sc, _carrying(labels), 10, seed=0)
+    assert [r["hamming_est_vs_post"] for r in rows] == errors
 
 
 def test_config_validation():
@@ -458,3 +497,36 @@ def test_recovery_comparison_eps_sweep():
     rows = recovery_comparison_eps([0.5, 4.0], n=10, p=0.8, zeta=0.1, reps=2, seed=4)
     assert [r["epsilon"] for r in rows] == [0.5, 4.0]
     assert all(r["n"] == 10 for r in rows)
+
+
+# one trial of each privacy flavor, each estimator, then the modules loaded
+_ONE_TRIAL_CAMPAIGNS = """
+import sys
+import numpy as np
+import cbmdetect
+from cbmdetect import CbmParams, ChangeScenario, ExperimentConfig, run_delay_trials
+pre = np.array([1] * 25 + [-1] * 25, dtype=np.int8)
+post = pre.copy()
+post[:2] *= -1
+params = CbmParams.from_scale(50, 5.0, 0.1)
+scenario = ChangeScenario(pre=pre, post=post, nu=1, params_pre=params, params_post=params)
+for detector in (
+    {"kind": "LDP", "b": 6.9, "epsilon": 1.5, "estimator": "sdp"},
+    {"kind": "LDP", "b": 6.9, "epsilon": 1.5, "estimator": "spectral"},
+    {"kind": "CDP", "b": 6.9, "epsilon": 1.5, "release": "assumed"},
+):
+    run_delay_trials(ExperimentConfig(scenario, detector, trials=1, truncation=20))
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_campaigns_never_import_scipy():
+    # scipy is a test-only dependency; importing scipy.linalg alone costs
+    # more than a benchmark workload's whole set-up
+    src = str(Path(cbmdetect.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _ONE_TRIAL_CAMPAIGNS],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == ""

@@ -23,6 +23,7 @@ from cbmdetect.recovery import (
     RITZ_TOL,
     _ascend,
     _dense_top_eigenvector,
+    _extrapolate,
     _power_step,
     _signs,
     _top_eigenvector,
@@ -113,6 +114,18 @@ def test_power_step_never_lowers_objective(graph, seed):
     assert after_obj >= before_obj - 1e-9 * (1.0 + abs(before_obj))
 
 
+def _assert_weak_duality(m, y, f, feasible):
+    """The certificate's three claims, recomputed: feasible is tr(M Y) of a feasible Y."""
+    tol = 1e-9 * (1.0 + abs(feasible))
+    bar = GAP_TOL * (1.0 + abs(f))
+    bound = y.sum() + len(m) * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1])
+    assert bound - f <= bar + tol
+    # every labeling is a feasible SDP point, so the dual bound is at least
+    # its value, and the certified value is within the bar of it
+    assert bound >= feasible - tol
+    assert f >= feasible - bar - tol
+
+
 @settings(max_examples=100)
 @given(small_graphs(), st.integers(0, 2**32 - 1))
 def test_certified_blocks_meet_the_dual_bound(graph, seed):
@@ -120,19 +133,34 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
     if not m.any():
         return
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    v, certified, steps = _ascend(m, _unit_block(graph.n, 3, seed), lam_min)
+    _, certified, steps, y, f = _ascend(m, _unit_block(graph.n, 3, seed), lam_min)
     assert 0 <= steps <= MAX_ITERS
-    ml = ml_exhaustive(graph).objective
-    tol = 1e-9 * (1.0 + abs(ml))
     if certified:
-        y = np.sum((m @ v) * v, axis=1)
-        bar = GAP_TOL * (1.0 + abs(y.sum()))
-        gap = graph.n * max(0.0, np.linalg.eigvalsh(m - np.diag(y))[-1])
-        assert gap <= bar + tol
-        # every labeling is a feasible SDP point, so the dual bound sum(y) + gap
-        # is at least ml, and the certified value is within the bar of it
-        assert y.sum() + gap >= ml - tol
-        assert y.sum() >= ml - bar - tol
+        _assert_weak_duality(m, y, f, ml_exhaustive(graph).objective)
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_extrapolated_certificates_meet_the_dual_bound(window):
+    # single and summed n=50 draws certify through the extrapolated dual
+    for draw in range(10):
+        graphs = [_n50_draw(s) for s in range(100 * draw, 100 * draw + window)]
+        m = stack_dense(graphs)[1]
+        v, certified, steps, y, f = _ascend(m, _unit_block(50, 10, draw), float(np.linalg.eigvalsh(m)[0]))
+        assert certified and steps > 0
+        # a block certified by y itself would give back y as its own row products
+        assert not np.array_equal(y, np.einsum("ir,ir->i", m @ v, v))
+        _assert_weak_duality(m, y, f, sdp_estimate(graphs, seed=draw).objective)
+
+
+def test_extrapolate_is_exact_on_two_geometric_modes():
+    rng = np.random.default_rng(0)
+    limit, a, b = rng.standard_normal((3, 50))
+    for count in (4, recovery.GAP_EVERY + 1):
+        xs = np.array([limit + a * 0.8**j + b * (-0.5) ** j for j in range(count)])
+        g = _extrapolate(xs)
+        np.testing.assert_allclose(g.sum(), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(g @ xs[:-1], limit, atol=1e-9)
+        assert _extrapolate(np.tile(limit, (count, 1))) is None
 
 
 def test_sdp_stops_at_a_certified_first_restart():
