@@ -6,12 +6,15 @@ duality-gap certificate (seeded restarts run in turn until one is
 certified), the signs of M's top eigenvector, and exhaustive search for
 small n. The certificate is weak duality at the ascent's own dual or at one
 extrapolated from its recent steps, which proves the gap long before the
-first-order dual can. Up to n = EIGH_MAX_N the eigenvector's signs come
-from M's eigenvalues and one linear solve whose signs a Davis-Kahan bound
-certifies, with `eigh` where the bound fails; above EIGH_MAX_N they come
-from Lanczos. Each status says whether its solver met its bound. All return
-canonical labels (first entry +1). The solvers' settings are the module
-constants GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
+first-order dual can. One Cholesky factorization, its diagonal shifted to
+cover its rounding (Rump), proves the bound's lambda_max, so a certified
+gap holds in exact arithmetic. Up to n = EIGH_MAX_N the eigenvector's
+signs come from M's eigenvalues and one linear solve whose signs a
+Davis-Kahan bound certifies, with `eigh` where the bound fails; above
+EIGH_MAX_N they come from Lanczos. Each status says whether its solver met
+its bound. All return canonical labels (first entry +1). The solvers'
+settings are the module constants GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N
+and RITZ_TOL.
 """
 
 import math
@@ -58,8 +61,11 @@ RESTARTS = 3  # seeded restarts, run in turn until one is certified
 
 
 def _rownormalize(w, v):
-    """w with unit rows; rows of w that are zero take v's."""
+    """w divided in place to unit rows; with a zero row, a copy where that row takes v's."""
     norms = np.sqrt(np.einsum("ir,ir->i", w, w))[:, None]
+    if norms.all():
+        w /= norms
+        return w
     return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
 
 
@@ -91,6 +97,44 @@ def _extrapolate(xs):
     return None if total == 0.0 else c / total
 
 
+def _certifies(m, dual, f, bar):
+    """True only if sum(dual) + n lambda_max(M - Diag(dual))+ - f <= bar is proved.
+
+    With mu = (bar + f - sum dual) / n that is mu >= 0 and Diag(mu + dual) - M
+    PSD, which one Cholesky factorization proves. If it completes on the
+    floating-point B = Diag(mu - 2c + dual) - M, then B + E is positive
+    definite for some E with |E_ij| <= gamma_{n+1} sqrt(B_ii B_jj) / (1 -
+    gamma_{n+1}), gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10), so ||E||_2 is about (n + 1) u
+    tr B; Rump (Verification of positive definiteness, BIT 46, 2006) shifts
+    the diagonal by such a bound to make a completed factorization a proof.
+    With S = n |mu| + sum_i (|dual_i| + |M_ii|), the shift
+
+        c = 3 (n + 2) eps S
+
+    covers E and the three rounded additions on B's diagonal, so Diag(mu - c
+    + dual) - M is PSD, and it covers the rounding of mu, so mu - c is at most
+    the exact mu. It also dominates underflow's absolute errors unless S <
+    1e-290; S = 0 never passes, as B then has a zero diagonal. A mu that is
+    not finite, mu < c or a failed factorization is no proof.
+    """
+    n = len(m)
+    mu = (bar + f - dual.sum()) / n
+    if not math.isfinite(mu):
+        return False
+    scale = n * abs(mu) + np.abs(dual).sum() + np.abs(np.diagonal(m)).sum()
+    c = 3 * (n + 2) * np.finfo(np.float64).eps * scale
+    if not mu >= c:
+        return False
+    b = -m
+    b[np.diag_indices(n)] += mu - 2.0 * c + dual
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _ascend(m, v, lam_min):
     """(V, certified, steps, y, f): shifted power ascent of the n x rank block V.
 
@@ -102,13 +146,14 @@ def _ascend(m, v, lam_min):
     accurate to first order only, so otherwise y' is the MPE extrapolation
     (_extrapolate) of y over the last GAP_EVERY + 1 steps, which is much
     closer to the optimal dual; it is tried once an Aitken estimate of f's
-    remaining rise is within the bar. At most one O(n^3) bound runs per
-    check. A block certified by an extrapolated y' is the same extrapolation
-    of V, rows renormalized; else V is the current block. y and f are the
-    certificate's dual and objective, or the current ones if none passed.
-    lam_min is M's smallest eigenvalue.
+    remaining rise is within the bar. The bound is proved, not computed: at
+    most one Cholesky factorization (_certifies) runs per check, about a
+    quarter of an eigvalsh, and it passes only if the bound holds in exact
+    arithmetic for the computed y' and f. A block certified by an
+    extrapolated y' is the same extrapolation of V, rows renormalized; else V
+    is the current block. y and f are the certificate's dual and objective,
+    or the current ones if none passed. lam_min is M's smallest eigenvalue.
     """
-    n = len(v)
     ys, vs = deque(maxlen=GAP_EVERY + 1), deque(maxlen=GAP_EVERY + 1)
     try_y = True
     for it in range(MAX_ITERS + 1):
@@ -131,7 +176,7 @@ def _ascend(m, v, lam_min):
                     if due:
                         dual = g @ xs[:-1]
             if due:
-                if dual.sum() + n * max(0.0, np.linalg.eigvalsh(m - np.diag(dual))[-1]) - f <= bar:
+                if _certifies(m, dual, f, bar):
                     if g is not None:
                         v = _rownormalize(sum(gj * vj for gj, vj in zip(g, vs)), v)
                     return v, True, it, dual, f
@@ -256,8 +301,12 @@ def sdp_estimate(graphs, seed=0):
     Each rounds by the sign of the top left singular vector of its block
     (the extrapolated one where the extrapolated dual certified it) and
     polishes with single flips; among the restarts that ran the best
-    objective wins, earliest on ties, "converged" if it was certified.
-    `iterations` sums the ascent steps of the restarts that ran.
+    objective wins, earliest on ties, "converged" if it was certified. A
+    certified restart's ascent value f is proved, rounding included (see
+    _certifies), to be within GAP_TOL (1 + |f|) of the SDP optimum, which
+    bounds every labeling's objective. `iterations` sums the ascent steps of
+    the restarts that ran. M's one eigvalsh, for the ascent's shift, is
+    about a third of a call at n = 1000, a = 20.
     """
     n, m = stack_dense(graphs)
     if not m.any():

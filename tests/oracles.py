@@ -203,3 +203,14 @@ def sdp_all_restarts(graphs, seed):
     runs = [sdp_restart(m, seed, k) for k in range(RESTARTS)]
     objective, labels, certified, _ = max(runs, key=lambda run: run[0])  # first maximum
     return labels, objective, "converged" if certified else "max_iters"
+
+
+def eigvalsh_certifies(m, dual, f, bar):
+    """The SDP gap test with lambda_max taken from eigvalsh.
+
+    The weak-duality bound sum(dual) + n lambda_max(M - Diag(dual))+ - f <=
+    bar with the computed top eigenvalue trusted as it is, no allowance for
+    its rounding: the reference that recovery._certifies must decide alike
+    wherever lambda_max is not within rounding of the bar.
+    """
+    return dual.sum() + len(m) * max(0.0, np.linalg.eigvalsh(m - np.diag(dual))[-1]) - f <= bar

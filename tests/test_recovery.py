@@ -22,6 +22,7 @@ from cbmdetect.recovery import (
     MAX_ITERS,
     RITZ_TOL,
     _ascend,
+    _certifies,
     _dense_top_eigenvector,
     _extrapolate,
     _power_step,
@@ -139,6 +140,47 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
         _assert_weak_duality(m, y, f, ml_exhaustive(graph).objective)
 
 
+def test_certifies_refuses_lambda_max_at_mu():
+    m = np.diag([1.0, -2.0, 3.0, 0.5])
+    dual = np.array([0.25, -1.0, 0.5, 2.0])
+    # M - Diag(dual) = diag(0.75, -1, 2.5, -1.5), so lambda_max = 2.5; with
+    # f = 0 a bar of 4 * 2.5 + sum(dual) puts mu exactly on it
+    f, lam = 0.0, 2.5
+    bar = 4 * lam + dual.sum()
+    assert (bar + f - dual.sum()) / 4 == lam
+    assert not _certifies(m, dual, f, bar)
+    assert _certifies(m, dual, f, bar + 4 * 1e-6 * (1.0 + lam))
+    # a negative mu is no proof even though lambda_max lies below it
+    assert not _certifies(m, dual + 10.0, f, 4 * -1.0 + (dual + 10.0).sum())
+    for bad in (np.nan, np.inf, -np.inf):
+        assert not _certifies(m, np.where(np.arange(4) == 1, bad, dual), f, bar)
+
+
+@st.composite
+def dual_bound_cases(draw):
+    """(M, dual, f, bar) with mu = (bar + f - sum dual) / n near max(lambda_max, 0) or far from it."""
+    m = draw(small_graphs()).dense()
+    n = len(m)
+    dual = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=n, max_size=n)))
+    lam = np.linalg.eigvalsh(m - np.diag(dual))[-1]
+    near = st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6])
+    gap = draw(st.one_of(near, st.floats(-3.0, 3.0)))
+    f = draw(st.floats(-20.0, 20.0))
+    return m, dual, f, n * (max(lam, 0.0) + gap) + dual.sum() - f
+
+
+@given(dual_bound_cases())
+def test_certifies_is_a_proof_and_decides_like_eigvalsh(case):
+    m, dual, f, bar = case
+    mu = (bar + f - dual.sum()) / len(m)
+    top = max(np.linalg.eigvalsh(m - np.diag(dual))[-1], 0.0)
+    verdict = _certifies(m, dual, f, bar)
+    if verdict:
+        assert top <= mu * (1.0 + 1e-12)
+    if abs(top - mu) > 1e-8 * (1.0 + abs(mu)):
+        assert verdict == (top <= mu) == oracles.eigvalsh_certifies(m, dual, f, bar)
+
+
 @pytest.mark.parametrize("window", [1, 3])
 def test_extrapolated_certificates_meet_the_dual_bound(window):
     # single and summed n=50 draws certify through the extrapolated dual
@@ -253,6 +295,39 @@ def test_sdp_zero_graph_degenerate():
     assert result.status == "degenerate"
     assert result.objective == 0.0
     assert result.labels[0] == 1
+
+
+def test_sdp_decides_as_with_the_eigvalsh_bound(monkeypatch):
+    # the Cholesky proof and the eigvalsh bound differ only within rounding
+    # of the bar, so every certificate, and hence every result, is the same;
+    # n=50 windows of 1 and 3 consecutive draws, then single n=200 draws
+    cases = [([_n50_draw(s + k) for k in range(width)], s) for width in (1, 3) for s in range(20)]
+    cases += [(_perturbed_draw(200, 5.0, s), s) for s in range(4)]
+    got = [sdp_estimate(graphs, seed=seed) for graphs, seed in cases]
+    monkeypatch.setattr(recovery, "_certifies", oracles.eigvalsh_certifies)
+    for r, (graphs, seed) in zip(got, cases):
+        w = sdp_estimate(graphs, seed=seed)
+        assert np.array_equal(r.labels, w.labels)
+        assert (r.objective, r.status, r.iterations) == (w.objective, w.status, w.iterations)
+
+
+def test_sdp_calls_eigvalsh_once_and_never_eigh(monkeypatch):
+    # the shift's lambda_min is the one eigenvalue call; gap checks factor
+    counted = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+        solver = getattr(np.linalg, name)
+        counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
+        monkeypatch.setattr(np.linalg, name, counting)
+    result = sdp_estimate(_n50_draw(0), seed=0)
+    assert result.status == "converged"
+    assert counted.count("eigvalsh") == 1 and counted[0] == "eigvalsh"
+    assert counted.count("eigh") == 0
+    assert counted.count("cholesky") >= 1
+
+
+@pytest.mark.parametrize("n, a, seed", [(200, 5.0, s) for s in range(6)] + [(500, 10.0, 0)])
+def test_sdp_certifies_up_to_n500(n, a, seed):
+    assert sdp_estimate(_perturbed_draw(n, a, seed), seed=seed).status == "converged"
 
 
 def test_spectral_recovers_planted_labels():
