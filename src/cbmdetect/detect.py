@@ -93,12 +93,19 @@ def init_detector(pre_labels, mode):
 
 
 def _estimate(buffer, cfg, current):
+    """Labels from the buffered graphs by cfg's estimator; current is the running estimate or None.
+
+    The spectral estimator starts Lanczos from `current` (it moves only
+    where the iteration starts, see spectral_estimate), which meets the
+    same stop rule in fewer steps while the communities hold still.
+    """
     if cfg.estimator == "fixed":
         if current is None:
             raise ValueError("fixed estimator needs a current estimate")
         return current
-    solve = sdp_estimate if cfg.estimator == "sdp" else spectral_estimate
-    return solve(list(buffer), seed=cfg.seed).labels
+    if cfg.estimator == "sdp":
+        return sdp_estimate(list(buffer), seed=cfg.seed).labels
+    return spectral_estimate(list(buffer), seed=cfg.seed, start=current).labels
 
 
 def _is_fresh(state):

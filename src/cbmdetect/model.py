@@ -4,11 +4,14 @@ A graph on n nodes carries one symbol per unordered pair: +1 (same-community
 evidence), -1 (cross-community evidence), or 0 (pair not revealed). Under
 labels sigma and parameters (p, zeta), pair (i, j) shows sigma_i * sigma_j
 with probability p(1 - zeta), the opposite sign with probability p * zeta,
-and 0 with probability 1 - p.
+and 0 with probability 1 - p. sample_cbm draws one uniform per pair, read as
+the top 53 bits of a raw 64-bit output of the bit generator and compared in
+integers: the same uniforms, and so the same graphs, as Generator.random.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -237,24 +240,63 @@ def quad_form(graph, labels):
     return int(s @ (graph.dense() @ s))
 
 
+# bit generators whose Generator.random() is (next_uint64 >> 11) 2^-53
+_RAW64 = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+def _raw_uniforms(rng, size):
+    """size 64-bit words w, the uniforms rng.random(size) would draw being (w >> 11) 2^-53.
+
+    Read straight from the bit generator where its doubles are its raw words'
+    top 53 bits; otherwise (MT19937, say) from random() itself, scaled by
+    2^64, which is exact. Either way the generator ends where random(size)
+    would leave it.
+    """
+    if isinstance(rng.bit_generator, _RAW64):
+        return rng.bit_generator.random_raw(size)
+    return (rng.random(size) * 2.0**64).astype(np.uint64)
+
+
+def _below(words, x):
+    """int8 mask of (w >> 11) 2^-53 < x, for x in [0, 1], as w < ceil(x 2^53) 2^11."""
+    k = math.ceil(x * 2.0**53)
+    if k >= 1 << 53:  # 2^64 does not fit a uint64, and every uniform is below 1
+        return np.ones(words.shape, dtype=np.int8)
+    return (words < np.uint64(k << 11)).view(np.int8)
+
+
+@functools.lru_cache(maxsize=8)
+def _label_products(key):
+    """Upper-triangle products sigma_i sigma_j of the int8 labels with bytes `key`, read-only."""
+    labels = np.frombuffer(key, dtype=np.int8)
+    prod = np.multiply.outer(labels, labels)[_upper_mask(len(labels))]
+    prod.flags.writeable = False
+    return prod
+
+
 def sample_cbm(params, labels, seed):
     """Draw one graph: reveal each pair w.p. p, flip its sign w.p. zeta.
 
     The upper triangle is drawn in one vectorized pass in row-major pair
-    order, taking n(n-1)/2 uniforms. seed is an int, read as the stream
-    generator(seed, SAMPLE), so a fixed (params, labels, seed) triple is fully
-    reproducible; or a np.random.Generator, which the draw advances, so one
-    generator can feed a sequence of graphs in order. params is read only for
-    n, p and zeta.
+    order, taking the n(n-1)/2 uniforms rng.random(n(n-1)/2) would take, and
+    leaving rng where that call would. Each uniform is the top 53 bits of one
+    raw 64-bit output (Philox, PCG64, PCG64DXSM, SFC64); u < x is decided in
+    integers as raw < ceil(x 2^53) 2^11, which is exact. Any other bit
+    generator (MT19937, say) goes through random() itself; the graph is the
+    same either way. seed is an int, read as the stream generator(seed,
+    SAMPLE), so a fixed (params, labels, seed) triple is fully reproducible;
+    or a np.random.Generator, which the draw advances, so one generator can
+    feed a sequence of graphs in order. params is read only for n, p and
+    zeta.
     """
     labels = validate_labels(labels, params.n)
-    rng = stream(seed, SAMPLE)
-    u = rng.random(n_pairs(params.n))
-    prod = np.multiply.outer(labels, labels)[_upper_mask(params.n)]
-    keep = params.p * (1.0 - params.zeta)
-    # +1 keeps the label product, -1 flips it, 0 hides the pair
-    sign = (u < keep).view(np.int8) - ((u >= keep) & (u < params.p)).view(np.int8)
-    return TernaryGraph(params.n, sign * prod)
+    words = _raw_uniforms(stream(seed, SAMPLE), n_pairs(params.n))
+    # 2 [u < p(1 - zeta)] - [u < p]: +1 keeps the label product, -1 flips it, 0 hides the pair
+    sign = _below(words, params.p * (1.0 - params.zeta))
+    sign += sign
+    sign -= _below(words, params.p)
+    sign *= _label_products(labels.tobytes())
+    return TernaryGraph(params.n, sign)
 
 
 @dataclass

@@ -11,12 +11,16 @@ cover its rounding (Rump), proves the bound's lambda_max, so a certified
 gap holds in exact arithmetic. Up to n = EIGH_MAX_N the eigenvector's
 signs come from M's eigenvalues and one linear solve whose signs a
 Davis-Kahan bound certifies, with `eigh` where the bound fails; above
-EIGH_MAX_N they come from Lanczos. Each status says whether its solver met
-its bound. All return canonical labels (first entry +1). The solvers'
-settings are the module constants GAP_TOL, MAX_ITERS, RESTARTS, EIGH_MAX_N
-and RITZ_TOL.
+EIGH_MAX_N they come from Lanczos, started from a seeded Gaussian or, given
+a `start` such as a detector's running estimate, from it plus a hundredth of
+that Gaussian. Seeded starts are drawn once per (seed, restart, shape) and
+cached read-only, as a detector passes one solver seed at every step. Each
+status says whether its solver met its bound. All return canonical labels
+(first entry +1). The solvers' settings are the module constants GAP_TOL,
+MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -52,6 +56,30 @@ def stack_dense(graphs):
         for g in graphs[1:]:
             m += g.dense()
     return n, m
+
+
+def _objective(graphs):
+    """(n, M, zero): stack_dense(graphs) and whether M is all zero.
+
+    One graph answers from its int8 upper triangle, a sixteenth of the bytes
+    of M; a window's M is read, as its +-1 entries can cancel.
+    """
+    graphs = [graphs] if isinstance(graphs, TernaryGraph) else list(graphs)
+    n, m = stack_dense(graphs)
+    return n, m, not (graphs[0].upper.any() if len(graphs) == 1 else m.any())
+
+
+@functools.lru_cache(maxsize=16)
+def _solver_start(seed, k, shape):
+    """generator(seed, SOLVER, k)'s standard normal block of `shape`, rows scaled to unit length.
+
+    Read-only and cached: every step of a trial passes the same solver
+    seed, so each would otherwise draw the same block again.
+    """
+    v = generator(seed, SOLVER, k).standard_normal(shape)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v.flags.writeable = False
+    return v
 
 
 GAP_EVERY = 10  # ascent steps between duality-gap checks
@@ -308,16 +336,15 @@ def sdp_estimate(graphs, seed=0):
     the restarts that ran. M's one eigvalsh, for the ascent's shift, is
     about a third of a call at n = 1000, a = 20.
     """
-    n, m = stack_dense(graphs)
-    if not m.any():
+    n, m, zero = _objective(graphs)
+    if zero:
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
     lam_min = float(np.linalg.eigvalsh(m)[0])
     best, steps = None, 0
     for k in range(RESTARTS):
-        v = generator(seed, SOLVER, k).standard_normal((n, rank))
-        v, certified, it, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+        v, certified, it, _, _ = _ascend(m, _solver_start(seed, k, (n, rank)), lam_min)
         steps += it
         labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
         obj = float(labels @ m @ labels)
@@ -329,7 +356,7 @@ def sdp_estimate(graphs, seed=0):
     return RecoveryResult(canonical(labels), obj, "converged" if certified else "max_iters", steps)
 
 
-def spectral_estimate(graphs, seed=0):
+def spectral_estimate(graphs, seed=0, start=None):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
     Up to n = EIGH_MAX_N the signs come from M's eigenvalues and one
@@ -340,16 +367,28 @@ def spectral_estimate(graphs, seed=0):
     status is "converged" when its Ritz residual met the bound, "max_iters"
     when n steps did not meet it. A zero M is flagged degenerate and yields
     random labels.
+
+    `start`, a nonzero length-n vector such as the previous estimate, moves
+    only the Lanczos start: to start / ||start|| plus a hundredth of the
+    unit seeded Gaussian, which has a component along every eigenvector
+    (almost surely), so no start lies in an invariant subspace that misses
+    the top one. The stop rule does not depend on the start; a start near
+    the top eigenvector meets it in fewer steps.
     """
-    n, m = stack_dense(graphs)
-    if not m.any():
+    n, m, zero = _objective(graphs)
+    if zero:
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     if n <= EIGH_MAX_N:
         x, converged, steps = _dense_top_eigenvector(m), True, 0
     else:
-        start = generator(seed, SOLVER, 0).standard_normal(n)
-        x, converged, steps = _top_eigenvector(m, start)
+        q = _solver_start(seed, 0, (1, n))[0]
+        if start is not None:
+            norm = np.linalg.norm(start)
+            if np.shape(start) != (n,) or not 0.0 < norm < math.inf:
+                raise ValueError(f"start must be a nonzero vector of length {n}")
+            q = start / norm + 0.01 * q
+        x, converged, steps = _top_eigenvector(m, q)
     labels = _signs(x)
     obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if converged else "max_iters", steps)

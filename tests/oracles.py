@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, generator
+from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, generator, stream
 from cbmdetect.ldp import EPS_IDENTITY
 from cbmdetect.model import FOREIGN, TernaryGraph, canonical, n_pairs, pair_indices
 from cbmdetect.recovery import RESTARTS, _ascend, _polish, _signs, stack_dense
@@ -39,10 +39,11 @@ def graph_log_pmf(graph, labels, p, zeta):
 def sample_by_pairs(params, labels, seed):
     """sample_cbm rebuilt pair by pair from the same uniform draws.
 
-    Pair k in pair_indices order takes draw u_k: u_k < p(1 - zeta) shows the
-    label product, p(1 - zeta) <= u_k < p the opposite sign, u_k >= p a 0.
+    Pair k in pair_indices order takes draw u_k of random(): u_k < p(1 - zeta)
+    shows the label product, p(1 - zeta) <= u_k < p the opposite sign, u_k >=
+    p a 0. seed is an int or a Generator, as sample_cbm reads it.
     """
-    u = generator(seed, SAMPLE).random(n_pairs(params.n))
+    u = stream(seed, SAMPLE).random(n_pairs(params.n))
     keep = params.p * (1.0 - params.zeta)
     out = np.zeros(n_pairs(params.n), dtype=np.int8)
     for k, (i, j) in enumerate(zip(*pair_indices(params.n))):

@@ -20,9 +20,9 @@ from cbmdetect.detect import (
     sensitivity_constant,
 )
 from cbmdetect.ldp import PrivacyBudget, perturbed_params
-from cbmdetect.likelihood import log_likelihood_ratio
-from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, sample_cbm
-from cbmdetect.recovery import ml_exhaustive
+from cbmdetect.likelihood import flip_gap, log_likelihood_ratio
+from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, quad_form, sample_cbm
+from cbmdetect.recovery import EIGH_MAX_N, ml_exhaustive, spectral_estimate
 
 PRE = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
 POST = np.array([1, -1, 1, -1, -1, -1], dtype=np.int8)
@@ -102,6 +102,31 @@ def test_window_keeps_last_graphs():
         state = ldp_step(state, g, PRE, 0.6, 0.38, cfg)
     assert len(state.buffer) == 3
     assert all(b is g for b, g in zip(state.buffer, graphs[-3:]))
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_warm_started_spectral_steps_match_a_cold_recomputation(window):
+    # above EIGH_MAX_N each estimate starts Lanczos from the last one; the
+    # labels must be the cold-started ones and every score the quadratic forms'
+    n = EIGH_MAX_N + 22
+    pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+    post = pre.copy()
+    post[:6] *= -1
+    params = CbmParams.from_scale(n, 6.0, 0.2)
+    rng = np.random.default_rng(window)
+    graphs = [sample_cbm(params, pre if k < 2 else post, rng) for k in range(8)]
+    cfg = DetectorConfig(estimator="spectral", window=window, seed=4)
+    state = init_detector(pre, "LDP")
+    stat, sigma = 0.0, None
+    for k, g in enumerate(graphs):
+        if sigma is not None:
+            q_gap = quad_form(g, sigma) - quad_form(g, pre)
+            stat = max(stat + 0.25 * flip_gap(0.2) * q_gap, 0.0)
+        state = ldp_step(state, g, pre, params.p, 0.2, cfg)
+        sigma = spectral_estimate(graphs[max(k + 1 - window, 0) : k + 1], seed=4).labels
+        assert np.array_equal(state.sigma_hat, sigma)
+        assert state.stat == stat
+    assert state.t == len(graphs) - 1 and stat > 0.0
 
 
 def test_ldp_stop_needs_scored_steps():

@@ -499,7 +499,7 @@ def test_recovery_comparison_eps_sweep():
     assert all(r["n"] == 10 for r in rows)
 
 
-# one trial of each privacy flavor, each estimator, then the modules loaded
+# one trial of each privacy flavor, each estimator, one at n = 200, then the modules loaded
 _ONE_TRIAL_CAMPAIGNS = """
 import sys
 import numpy as np
@@ -516,6 +516,14 @@ for detector in (
     {"kind": "CDP", "b": 6.9, "epsilon": 1.5, "release": "assumed"},
 ):
     run_delay_trials(ExperimentConfig(scenario, detector, trials=1, truncation=20))
+# n = 200 runs Lanczos, warm-started from the running estimate
+pre = np.array([1] * 100 + [-1] * 100, dtype=np.int8)
+post = pre.copy()
+post[:2] *= -1
+params = CbmParams.from_scale(200, 5.0, 0.1)
+scenario = ChangeScenario(pre=pre, post=post, nu=1, params_pre=params, params_post=params)
+detector = {"kind": "LDP", "b": 6.9, "epsilon": 1.5, "estimator": "spectral"}
+run_delay_trials(ExperimentConfig(scenario, detector, trials=1, truncation=20))
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

@@ -13,7 +13,7 @@ from cbmdetect.likelihood import (
     mle_params,
     mle_params_pooled,
 )
-from cbmdetect.model import TernaryGraph, n_pairs, quad_form
+from cbmdetect.model import CbmParams, TernaryGraph, n_pairs, quad_form, sample_cbm
 
 import oracles
 
@@ -87,6 +87,48 @@ def test_ratio_is_difference_of_log_likelihoods(pair, data, p, zeta):
     # the score's integer gap of quadratic forms equals the per-pair sums exactly
     gap = oracles.quad_form_by_pairs(graph, num) - oracles.quad_form_by_pairs(graph, den)
     assert ratio == 0.25 * flip_gap(zeta) * gap
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_ratio_over_disagreeing_nodes_is_exact(n, p, seed, data):
+    # 0 to n disagreements, in either global orientation of labels_num
+    rng = np.random.default_rng(seed)
+    den = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+    graph = sample_cbm(CbmParams(n=n, p=p, zeta=0.1), den, rng)
+    flipped = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    num = den.copy()
+    num[list(flipped)] *= -1
+    if data.draw(st.booleans()):
+        num = -num
+    zeta = data.draw(interior_zeta)
+    ratio = log_likelihood_ratio(graph, num, den, 0.5, zeta)
+    assert ratio == 0.25 * flip_gap(zeta) * (quad_form(graph, num) - quad_form(graph, den))
+
+
+def test_agreeing_labels_score_zero_without_the_dense_matrix():
+    labels = np.array([1, -1, 1, 1, -1, -1, 1, -1], dtype=np.int8)
+    graph = sample_cbm(CbmParams(n=8, p=0.8, zeta=0.1), labels, 0)
+    assert log_likelihood_ratio(graph, labels, labels, 0.8, 0.1) == 0.0
+    assert log_likelihood_ratio(graph, -labels, labels, 0.8, 0.1) == 0.0
+    assert graph._dense is None
+    other = labels.copy()
+    other[2] = -1
+    assert log_likelihood_ratio(graph, other, labels, 0.8, 0.1) != 0.0
+
+
+@pytest.mark.parametrize("bad", [[1, 1, 0, -1], [1, 1, -1], [[1, 1, -1, -1]], [1, 2, -1, -1]])
+def test_ratio_checks_both_labelings(bad):
+    g = TernaryGraph(4, np.array([1, -1, 0, 1, -1, 1], dtype=np.int8))
+    good = np.array([1, 1, -1, -1], dtype=np.int8)
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(g, np.array(bad), good, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        log_likelihood_ratio(g, good, np.array(bad), 0.5, 0.1)
 
 
 def test_ratio_single_revealed_pair():

@@ -10,6 +10,7 @@ from cbmdetect.model import (
     CbmParams,
     ChangeScenario,
     TernaryGraph,
+    _below,
     canonical,
     correlation,
     err,
@@ -240,6 +241,39 @@ def test_sample_cbm_degenerate_p():
     assert empty.edge_count == 0
     full = sample_cbm(CbmParams(n=4, p=1.0, zeta=0.1), labels, seed=0)
     assert full.edge_count == n_pairs(4)
+
+
+_BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.SFC64, np.random.MT19937)
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+@pytest.mark.parametrize(
+    "p, zeta",
+    # 0.5 (1 - 0.25) = 0.375 and 0.5 lie on the 2^-53 grid of the uniforms
+    [(0.0, 0.2), (1.0, 0.2), (0.5, 0.25), (1.0 - 2.0**-53, 0.5 - 2.0**-54), (0.3, 0.1)],
+)
+def test_sample_cbm_from_a_generator_matches_the_per_pair_oracle(bit_generator, p, zeta):
+    # MT19937's raw words are 32 bits, so it draws through random() itself
+    n = 90
+    labels = np.random.default_rng(3).choice(np.array([-1, 1], dtype=np.int8), size=n)
+    params = CbmParams(n=n, p=p, zeta=zeta)
+    for seed in (0, 5):
+        fast, slow = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        g = sample_cbm(params, labels, fast)
+        assert np.array_equal(g.upper, oracles.sample_by_pairs(params, labels, slow).upper)
+        # the draw leaves the generator where random(n_pairs) leaves it
+        assert fast.random() == slow.random()
+
+
+@pytest.mark.parametrize("x", [0.0, 2.0**-53, 0.375, 0.1, 1.0 - 2.0**-53, 1.0, 5e-324])
+def test_below_is_the_uniform_comparison(x):
+    # words around the threshold, with the 11 dropped bits empty and full
+    k = math.ceil(x * 2.0**53)
+    ks = np.array([max(k + d, 0) for d in (-2, -1, 0, 1, 2)], dtype=np.uint64)
+    ks = np.minimum(ks, np.uint64(2**53 - 1))
+    words = np.concatenate([ks << np.uint64(11), (ks << np.uint64(11)) | np.uint64(2047)])
+    want = (words >> np.uint64(11)) * 2.0**-53 < x
+    assert np.array_equal(_below(words, x).astype(bool), want)
 
 
 def test_scenario_orients_post_close_to_pre():

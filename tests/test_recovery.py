@@ -485,3 +485,80 @@ def test_estimators_accept_graph_lists():
     g2 = sample_cbm(CbmParams(n=12, p=0.9, zeta=0.05), labels, seed=11)
     for result in (sdp_estimate([g1, g2], seed=0), spectral_estimate([g1, g2], seed=0)):
         assert err(result.labels, labels) == 0
+
+
+@pytest.mark.parametrize("solve", [sdp_estimate, spectral_estimate])
+def test_degenerate_window_is_read_off_the_summed_matrix(solve):
+    # one graph's zero test reads its int8 triangle; a window's +-1 entries can cancel
+    g = TernaryGraph(5, np.array([1, 0, -1, 0, 0, 1, 0, 0, 0, -1], dtype=np.int8))
+    neg = TernaryGraph(5, -g.upper)
+    assert solve([g, neg], seed=2).status == "degenerate"
+    assert solve([g], seed=2).status != "degenerate"
+    assert solve([TernaryGraph.zero(5)], seed=2).status == "degenerate"
+
+
+def test_solver_start_is_the_seeded_block_read_only():
+    v = recovery._solver_start(3, 1, (20, 7))
+    w = generator(3, SOLVER, 1).standard_normal((20, 7))
+    assert np.array_equal(v, w / np.linalg.norm(w, axis=1, keepdims=True))
+    assert not v.flags.writeable
+    assert recovery._solver_start(3, 1, (20, 7)) is v
+
+
+def _halves(n):
+    return np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+
+
+# the hard n = 200 draws, and n = 1000 draws at the delay-spectral-n1000 benchmark's a
+WARM_DRAWS = [d for d in HARD_DRAWS if d[0] == 200] + [(1000, 20.0, s) for s in range(4)]
+
+
+@pytest.mark.parametrize("n, a, seed", WARM_DRAWS)
+def test_warm_start_keeps_the_cold_start_signs(n, a, seed):
+    g = _perturbed_draw(n, a, seed)
+    want = _eigh_signs(g.dense())
+    cold = spectral_estimate(g, seed=0)
+    assert cold.status == "converged"
+    assert np.array_equal(cold.labels, want)
+    planted = _halves(n)
+    wrong = planted.copy()
+    wrong[::2] *= -1  # orthogonal to the planted labels
+    for start in (planted, wrong):
+        warm = spectral_estimate(g, seed=0, start=start)
+        assert warm.status == "converged"
+        assert 1 <= warm.iterations <= n
+        assert np.array_equal(warm.labels, want)
+
+
+def test_warm_start_in_an_invariant_subspace_still_finds_the_top_eigenvector():
+    # M = diag(B, C) with C a 60-cycle, whose top eigenpair (2, all ones) is
+    # exact in floating point; B's top eigenvalue is far above 2. A start on C
+    # alone spans an invariant subspace: Lanczos from it would stop at once
+    # on (2, ones) unless the seeded Gaussian share brings B in.
+    b = _perturbed_draw(150, 5.0, 0).dense()
+    assert np.linalg.eigvalsh(b)[-1] > 4.0
+    n = 210
+    m = np.zeros((n, n))
+    m[:150, :150] = b
+    for i in range(60):
+        j = 150 + (i + 1) % 60
+        m[150 + i, j] = m[j, 150 + i] = 1.0
+    g = TernaryGraph.from_dense(m)
+    start = np.zeros(n)
+    start[150:] = 1.0
+    result = spectral_estimate(g, seed=0, start=start)
+    assert result.status == "converged"
+    assert np.array_equal(canonical(result.labels[:150]), _eigh_signs(b))
+
+
+def test_warm_start_moves_only_the_lanczos_start():
+    g = _perturbed_draw(EIGH_MAX_N, 5.0, 1)
+    cold = spectral_estimate(g, seed=0)
+    warm = spectral_estimate(g, seed=0, start=_halves(EIGH_MAX_N))
+    assert np.array_equal(warm.labels, cold.labels)
+    assert (warm.objective, warm.status, warm.iterations) == (cold.objective, cold.status, 0)
+    n = EIGH_MAX_N + 1
+    big = _perturbed_draw(n, 5.0, 1)
+    for bad in (np.zeros(n), np.ones(n - 1), np.full(n, np.nan), np.full(n, np.inf)):
+        with pytest.raises(ValueError):
+            spectral_estimate(big, seed=0, start=bad)
