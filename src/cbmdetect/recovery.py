@@ -1,23 +1,29 @@
 """Community estimation from one or more ternary graphs.
 
 Three estimators share the objective sigma^T M sigma, M the sum of the input
-adjacencies: a factored ascent for the semidefinite relaxation stopped by a
-duality-gap certificate (seeded restarts run in turn until one is
-certified), the signs of M's top eigenvector, and exhaustive search for
-small n. The certificate is weak duality at the ascent's own dual or at one
-extrapolated from its recent steps, which proves the gap long before the
-first-order dual can. One Cholesky factorization, its diagonal shifted to
-cover its rounding (Rump), proves the bound's lambda_max, so a certified
-gap holds in exact arithmetic. Up to n = EIGH_MAX_N the eigenvector's
-signs come from M's eigenvalues and one linear solve whose signs a
-Davis-Kahan bound certifies, with `eigh` where the bound fails; above
+adjacencies: a factored ascent for the semidefinite relaxation from one
+seeded start, stopped by a duality-gap certificate, the signs of M's top
+eigenvector, and exhaustive search for small n. Both proofs in the module
+rest on one helper (_proves_psd): one Cholesky factorization, its diagonal
+shifted to cover its rounding and the caller's (Rump), proves a matrix
+positive semidefinite in exact arithmetic. The gap certificate is weak
+duality at the ascent's own dual or at one extrapolated from its recent
+steps, which proves the gap long before the first-order dual can; the
+helper proves the bound's lambda_max. Up to n = SQUARING_MAX_N the
+eigenvector's signs come from a few squarings of M^2: a Davis-Kahan bound
+turns a proved gap below the squared vector's Rayleigh quotient into its
+signs, and the helper proves the gap from a rank-one deflation of M. Where
+squaring has not converged, and for n up to EIGH_MAX_N, M's eigenvalues
+and one linear solve give signs that the same bound certifies, with `eigh`
+where it fails. Above
 EIGH_MAX_N they come from Lanczos, started from a seeded Gaussian or, given
-a `start` such as a detector's running estimate, from it plus a hundredth of
-that Gaussian. Seeded starts are drawn once per (seed, restart, shape) and
-cached read-only, as a detector passes one solver seed at every step. Each
-status says whether its solver met its bound. All return canonical labels
-(first entry +1). The solvers' settings are the module constants GAP_TOL,
-MAX_ITERS, RESTARTS, EIGH_MAX_N and RITZ_TOL.
+a `start` such as a detector's running estimate, from it plus a hundredth
+of that Gaussian. Seeded starts are drawn once per (seed, purpose index,
+shape) and cached read-only, as a detector passes one solver seed at every
+step. Each status says whether its solver met its bound. All return
+canonical labels (first entry +1). The solvers' settings are the module
+constants GAP_TOL, MAX_ITERS, EIGH_MAX_N, RITZ_TOL, SQUARING_MAX_N,
+SIGN_TRIES and SIGN_GAP.
 """
 
 import functools
@@ -36,9 +42,8 @@ class RecoveryResult:
     labels: np.ndarray
     objective: float
     status: str  # converged | max_iters | degenerate
-    # solver steps: SDP ascent steps summed over the restarts run (each up to
-    # the check that certified it, or MAX_ITERS), or Lanczos; 0 for the dense
-    # spectral path and ML
+    # solver steps: SDP ascent steps (up to the check that certified it, or
+    # MAX_ITERS), or Lanczos; 0 for the dense spectral path and ML
     iterations: int = 0
 
 
@@ -84,8 +89,7 @@ def _solver_start(seed, k, shape):
 
 GAP_EVERY = 10  # ascent steps between duality-gap checks
 GAP_TOL = 1e-4  # certified duality gap, relative to 1 + |objective|
-MAX_ITERS = 300  # ascent steps per restart before giving up uncertified
-RESTARTS = 3  # seeded restarts, run in turn until one is certified
+MAX_ITERS = 300  # ascent steps before giving up uncertified
 
 
 def _rownormalize(w, v):
@@ -125,42 +129,66 @@ def _extrapolate(xs):
     return None if total == 0.0 else c / total
 
 
-def _certifies(m, dual, f, bar):
-    """True only if sum(dual) + n lambda_max(M - Diag(dual))+ - f <= bar is proved.
+EPS = np.finfo(np.float64).eps
+ETA = 2.0**-1074  # the smallest subnormal
 
-    With mu = (bar + f - sum dual) / n that is mu >= 0 and Diag(mu + dual) - M
-    PSD, which one Cholesky factorization proves. If it completes on the
-    floating-point B = Diag(mu - 2c + dual) - M, then B + E is positive
-    definite for some E with |E_ij| <= gamma_{n+1} sqrt(B_ii B_jj) / (1 -
-    gamma_{n+1}), gamma_k = k u / (1 - k u), u = eps / 2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10), so ||E||_2 is about (n + 1) u
-    tr B; Rump (Verification of positive definiteness, BIT 46, 2006) shifts
-    the diagonal by such a bound to make a completed factorization a proof.
-    With S = n |mu| + sum_i (|dual_i| + |M_ii|), the shift
 
-        c = 3 (n + 2) eps S
+def _proves_psd(b, err):
+    """True only if every symmetric T with ||T - b||_2 <= err is proved PSD.
 
-    covers E and the three rounded additions on B's diagonal, so Diag(mu - c
-    + dual) - M is PSD, and it covers the rounding of mu, so mu - c is at most
-    the exact mu. It also dominates underflow's absolute errors unless S <
-    1e-290; S = 0 never passes, as B then has a zero diagonal. A mu that is
-    not finite, mu < c or a failed factorization is no proof.
+    b, overwritten, is a caller's rounded T, of which only the lower
+    triangle and the diagonal are read; err bounds the distance of that
+    symmetric matrix to T, rounding and any slack the caller adds. One
+    Cholesky factorization decides. If it completes on the floating-point
+    B = fl(b - s I), then B + E is positive semidefinite for some E with
+    ||E||_2 <= gamma_{n+1} / (1 - gamma_{n+1}) tr B, gamma_k = k u / (1 - k
+    u), u = eps / 2 (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10); Rump (Verification of positive definiteness, BIT 46, 2006)
+    shifts the diagonal by such a bound to make a completed factorization a
+    proof. With t = sum_i |b_ii|, the shift
+
+        s = 2 err + (n + 2) eps t + 8 (n + 1) (2 (n + 1) + t) eta,
+
+    eta the smallest subnormal, is at least ||E|| + ||b - s I - B|| + err
+    (the subtraction rounds each diagonal entry by at most u (|b_ii| + s)),
+    so T = (B + E) + (s I - E + (b - s I - B) - (b - T)) is PSD. The eta
+    term is Rump's allowance for underflow, doubled like err, with t for
+    his max_i |b_ii|. A zero b never passes, nor does one with a NaN or an
+    infinite entry.
     """
-    n = len(m)
-    mu = (bar + f - dual.sum()) / n
-    if not math.isfinite(mu):
-        return False
-    scale = n * abs(mu) + np.abs(dual).sum() + np.abs(np.diagonal(m)).sum()
-    c = 3 * (n + 2) * np.finfo(np.float64).eps * scale
-    if not mu >= c:
-        return False
-    b = -m
-    b[np.diag_indices(n)] += mu - 2.0 * c + dual
+    n = len(b)
+    t = np.abs(b.diagonal()).sum()
+    b.flat[:: n + 1] -= 2.0 * err + (n + 2) * EPS * t + 8 * (n + 1) * (2 * (n + 1) + t) * ETA
     try:
         np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _certifies(m, dual, f, bar):
+    """True only if sum(dual) + n lambda_max(M - Diag(dual))+ - f <= bar is proved.
+
+    With mu = (bar + f - sum dual) / n that is mu >= 0 and Diag(mu + dual) -
+    M PSD. With S = sum_i (|dual_i| + |M_ii|), the computed mu is within e =
+    (n + 3) eps (|mu| + (|bar| + |f| + S) / n) of the exact one (the sum's
+    rounding is at most (n - 1) u sum |dual|, each of three operations adds
+    u), so a computed mu >= e proves the exact mu >= 0, and _proves_psd
+    proves Diag(mu - e + dual) - M PSD from its rounded Diag(mu + dual) - M,
+    whose two rounded additions on the diagonal are each within u of their
+    sum: err = e + eps (|mu| + S). A mu that is not finite is no proof.
+    """
+    n = len(m)
+    scale = np.abs(dual).sum() + np.abs(np.diagonal(m)).sum()
+    mu = (bar + f - dual.sum()) / n
+    if not math.isfinite(mu):
+        return False
+    e = (n + 3) * EPS * (abs(mu) + (abs(bar) + abs(f) + scale) / n)
+    if not mu >= e:
+        return False
+    b = -m
+    b.flat[:: n + 1] += mu + dual
+    return _proves_psd(b, e + EPS * (abs(mu) + scale))
 
 
 def _ascend(m, v, lam_min):
@@ -218,35 +246,119 @@ EIGH_MAX_N = 128  # largest n whose top eigenvector is found densely; Lanczos ab
 # Ritz residual bound, relative to max(1, |theta|); also the dense path's shift past theta
 RITZ_TOL = 1e-10
 RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
+SQUARING_MAX_N = 96  # largest n whose signs come from squaring first; eigvalsh first above it
+SIGN_TRIES = (3, 5, 7)  # squarings of M^2 after which the sign proof is tried
+SIGN_GAP = 0.05  # a try factors only if the gap it must prove is below this share of tau
+
+
+def _sign_proof(m, x, norm_m):
+    """mu if the signs of x are proved to be those of m's top eigenvector v, else None.
+
+    m is symmetric with ||m||_F <= norm_m, x of unit length up to rounding,
+    tau = x^T m x as computed. If tau > lambda_2, Davis & Kahan (SIAM J.
+    Numer. Anal. 7(1), 1970) bound the angle between x and v: its sine is at
+    most ||m x - tau x|| / ((tau - lambda_2) ||x||). Unit vectors at an
+    angle below arcsin(|x_i| / ||x||) from x share the sign of their i-th
+    entry with x (the nearest unit vector with a zero there is at that
+    angle), so once
+
+        ||m x - tau x|| < (tau - lambda_2) min_i |x_i|,
+
+    x has v's signs up to a global flip, and no entry of v is zero. res
+    bounds the exact residual of the stored x and tau: the computed norm
+    padded by (n + 2) eps, plus (n + 2) eps (norm_m + |tau|) for the
+    rounding of m x and tau x, about twice what either needs. The gap is
+    proved, not computed: with mu = tau - 1.125 res / min |x_i|, one
+    Cholesky factorization (_proves_psd) of mu I - m + tau x x^T proves
+    lambda_2 <= mu, as lambda_1(m - c x x^T) >= lambda_2(m) for any c >= 0
+    (interlacing). The rank-one term takes lambda_1 out of the way, so the
+    factorization needs only mu > lambda_2. Forming that matrix rounds each
+    entry by at most 4 u tau |x_i x_j| + 2 u |m_ij| + u mu [i = j], which
+    eps (3 tau + norm_m) bounds in 2-norm. The factorization runs only if
+    the gap it must prove is below SIGN_GAP tau; a larger one rarely holds.
+    As SIGN_GAP < 1/2, mu > tau / 2, so tau - mu is exact (Sterbenz), and
+    the eighth of room above the least gap covers the rounding of mu and of
+    the comparison.
+    """
+    n = len(m)
+    mx = m @ x
+    tau = x @ mx
+    mx -= tau * x
+    res = (1.0 + (n + 2) * EPS) * math.sqrt(mx @ mx) + (n + 2) * EPS * (norm_m + abs(tau))
+    xmin = abs(x).min()
+    if not 1.125 * res < SIGN_GAP * tau * xmin:
+        return None
+    mu = tau - 1.125 * res / xmin
+    if not res < (tau - mu) * xmin:
+        return None
+    b = np.multiply.outer(tau * x, x)
+    b -= m
+    b.flat[:: n + 1] += mu
+    return mu if _proves_psd(b, EPS * (3.0 * tau + norm_m)) else None
+
+
+def _squared_top_eigenvector(m):
+    """(x, mu) with x proved to have the signs of m's top eigenvector, or None.
+
+    Repeated squaring of m^2 / ||m||_F^2, each square divided by its trace,
+    gives m^(2^(k + 1)) up to scale after k squarings: a power iteration
+    whose every step squares the ratio |lambda_i| / max |lambda|. x is its
+    row with the largest diagonal entry, scaled to unit length, and
+    _sign_proof decides it after each count of squarings in SIGN_TRIES,
+    with mu the bound it proved on lambda_2. None if no try passes, for
+    instance when lambda_1 is repeated, when |lambda_n| >= lambda_1, or
+    when v has an entry at or near zero. m must have no zero row.
+    """
+    n = len(m)
+    b = m @ m
+    trace = b.trace()
+    norm_m = math.sqrt(trace) * (1.0 + n * EPS)  # the trace's relative error is below n eps
+    b *= 1.0 / trace
+    for k in range(1, SIGN_TRIES[-1] + 1):
+        b = b @ b
+        b *= 1.0 / b.trace()
+        if k in SIGN_TRIES:
+            x = b[b.diagonal().argmax()]
+            x = x * (1.0 / math.sqrt(x @ x))
+            mu = _sign_proof(m, x, norm_m)
+            if mu is not None:
+                return x, mu
+    return None
 
 
 def _dense_top_eigenvector(m):
     """Vector with the entrywise signs of symmetric m's top eigenvector v.
 
-    eigvalsh gives theta, the computed lambda_1, and the computed gap
+    Up to n = SQUARING_MAX_N, first by squaring (_squared_top_eigenvector),
+    which proves the signs of its vector with one Cholesky factorization;
+    its matrix products cost more than eigvalsh above that size. Where
+    squaring fails within SIGN_TRIES[-1] squarings (a small gap, an entry
+    of v near zero), or n is larger: eigvalsh gives theta, the computed lambda_1, and the computed gap
     lambda_1 - lambda_2. e = n eps ||m||_F bounds each of three rounding
     errors: |theta - lambda_1|, |lambda_2's computed value - lambda_2|, and
     the error of the computed residual r = m x - theta x. One LU solve of
     ((theta + tol) I - m) x = (1, ..., n), tol = RITZ_TOL * max(1, |theta|),
     is a step of inverse iteration (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 4); nothing is drawn. By Davis & Kahan (SIAM J. Numer. Anal.
-    7(1), 1970) the angle between unit x and v has sine at most
-    ||m x - lambda_1 x|| / (lambda_1 - lambda_2), and ||x -+ v||_inf is at
-    most sqrt(2) times that sine. The true residual is at most ||r|| + 2e
-    (the residual's rounding plus theta's) and the true gap at least the
-    computed gap less 2e (both eigenvalues' errors). So once sqrt(2)
-    (||r|| + 2e) < (computed gap - 2e) min_i |x_i|, x has v's signs up to
-    a global flip, and no entry of v is zero. Otherwise (a repeated
-    lambda_1, an entry of v near zero) the result is the last column of
-    eigh(m). An m with an all-zero row goes to eigh directly: its isolated
-    node is an exact zero of v whenever lambda_1 > 0, so the certificate
-    could not pass.
+    Problem, ch. 4); nothing is drawn. By Davis & Kahan the angle between
+    unit x and v has sine at most ||m x - lambda_1 x|| / (lambda_1 -
+    lambda_2), and ||x -+ v||_inf is at most sqrt(2) times that sine. The
+    true residual is at most ||r|| + 2e (the residual's rounding plus
+    theta's) and the true gap at least the computed gap less 2e (both
+    eigenvalues' errors). So once sqrt(2) (||r|| + 2e) < (computed gap - 2e)
+    min_i |x_i|, x has v's signs up to a global flip, and no entry of v is
+    zero. Otherwise (a repeated lambda_1, an entry of v near zero) the
+    result is the last column of eigh(m). An m with an all-zero row goes to
+    eigh directly: its isolated node is an exact zero of v whenever
+    lambda_1 > 0, so neither proof could pass.
     """
     n = len(m)
     if m.any(axis=1).all():
+        proved = _squared_top_eigenvector(m) if n <= SQUARING_MAX_N else None
+        if proved is not None:
+            return proved[0]
         lam = np.linalg.eigvalsh(m)
         theta = lam[-1]
-        e = n * np.finfo(np.float64).eps * math.sqrt(lam @ lam)  # ||m||_F = ||lambda||_2
+        e = n * EPS * math.sqrt(lam @ lam)  # ||m||_F = ||lambda||_2
         a = np.negative(m)
         a.flat[:: n + 1] += theta + RITZ_TOL * max(1.0, abs(theta))
         x = np.linalg.solve(a, np.arange(1.0, n + 1.0))
@@ -321,20 +433,18 @@ def _polish(m, labels):
 def sdp_estimate(graphs, seed=0):
     """Factored ascent for max tr(M Y), Y PSD with unit diagonal.
 
-    Restart k ascends an n x rank block V (rank ceil(sqrt(2n)), at most n;
-    Boumal, Voroninski & Bandeira, arXiv:1606.04970) from generator(seed,
-    SOLVER, k). Restarts run in seed order and stop at the first certified
-    one, whose certificate (see _ascend: weak duality at the ascent's dual
-    or at its extrapolation) already bounds its gap to the SDP optimum.
-    Each rounds by the sign of the top left singular vector of its block
-    (the extrapolated one where the extrapolated dual certified it) and
-    polishes with single flips; among the restarts that ran the best
-    objective wins, earliest on ties, "converged" if it was certified. A
-    certified restart's ascent value f is proved, rounding included (see
+    It ascends an n x rank block V (rank ceil(sqrt(2n)), at most n; Boumal,
+    Voroninski & Bandeira, arXiv:1606.04970) from generator(seed, SOLVER, 0)
+    until its certificate (see _ascend: weak duality at the ascent's dual or
+    at its extrapolation) passes or MAX_ITERS steps have run, then rounds by
+    the sign of the top left singular vector of the block (the extrapolated
+    one where the extrapolated dual certified it) and polishes with single
+    flips. A certified ascent value f is proved, rounding included (see
     _certifies), to be within GAP_TOL (1 + |f|) of the SDP optimum, which
-    bounds every labeling's objective. `iterations` sums the ascent steps of
-    the restarts that ran. M's one eigvalsh, for the ascent's shift, is
-    about a third of a call at n = 1000, a = 20.
+    bounds every labeling's objective; status "converged". An uncertified
+    start returns "max_iters". `iterations` counts its ascent steps. M's one
+    eigvalsh, for the ascent's shift, is about a third of a call at n =
+    1000, a = 20.
     """
     n, m, zero = _objective(graphs)
     if zero:
@@ -342,40 +452,38 @@ def sdp_estimate(graphs, seed=0):
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
     lam_min = float(np.linalg.eigvalsh(m)[0])
-    best, steps = None, 0
-    for k in range(RESTARTS):
-        v, certified, it, _, _ = _ascend(m, _solver_start(seed, k, (n, rank)), lam_min)
-        steps += it
-        labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
-        obj = float(labels @ m @ labels)
-        if best is None or obj > best[0]:  # first maximum
-            best = (obj, labels, certified)
-        if certified:
-            break
-    obj, labels, certified = best
+    v, certified, steps, _, _ = _ascend(m, _solver_start(seed, 0, (n, rank)), lam_min)
+    labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
+    obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if certified else "max_iters", steps)
 
 
 def spectral_estimate(graphs, seed=0, start=None):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
-    Up to n = EIGH_MAX_N the signs come from M's eigenvalues and one
-    sign-certified linear solve, or from `np.linalg.eigh(M)` where the
-    certificate cannot pass (see _dense_top_eigenvector): status
-    "converged" (LAPACK raises if it fails), iterations 0, and nothing is
-    drawn. Above EIGH_MAX_N, Lanczos runs on M from a seeded Gaussian start;
-    status is "converged" when its Ritz residual met the bound, "max_iters"
-    when n steps did not meet it. A zero M is flagged degenerate and yields
-    random labels.
+    Up to n = EIGH_MAX_N the signs come from repeated squaring of M^2 and
+    one Cholesky factorization that proves them (n <= SQUARING_MAX_N);
+    where squaring has not converged or n is larger, from M's eigenvalues and one sign-certified linear solve; and
+    from `np.linalg.eigh(M)` where neither proof can pass (see
+    _dense_top_eigenvector): status "converged" (LAPACK raises if it
+    fails), iterations 0, and nothing is drawn. Above EIGH_MAX_N, Lanczos
+    runs on M from a seeded Gaussian start; status is "converged" when its
+    Ritz residual met the bound, "max_iters" when n steps did not meet it. A
+    zero M is flagged degenerate and yields random labels.
 
-    `start`, a nonzero length-n vector such as the previous estimate, moves
-    only the Lanczos start: to start / ||start|| plus a hundredth of the
-    unit seeded Gaussian, which has a component along every eigenvector
-    (almost surely), so no start lies in an invariant subspace that misses
-    the top one. The stop rule does not depend on the start; a start near
-    the top eigenvector meets it in fewer steps.
+    `start`, a nonzero finite vector of length n such as the previous
+    estimate, is checked at every n but moves only the Lanczos start: to
+    start / ||start|| plus a hundredth of the unit seeded Gaussian, which
+    has a component along every eigenvector (almost surely), so no start
+    lies in an invariant subspace that misses the top one. The stop rule
+    does not depend on the start; a start near the top eigenvector meets it
+    in fewer steps.
     """
     n, m, zero = _objective(graphs)
+    if start is not None:
+        norm = np.linalg.norm(start)
+        if np.shape(start) != (n,) or not 0.0 < norm < math.inf:
+            raise ValueError(f"start must be a nonzero finite vector of length {n}")
     if zero:
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
@@ -384,9 +492,6 @@ def spectral_estimate(graphs, seed=0, start=None):
     else:
         q = _solver_start(seed, 0, (1, n))[0]
         if start is not None:
-            norm = np.linalg.norm(start)
-            if np.shape(start) != (n,) or not 0.0 < norm < math.inf:
-                raise ValueError(f"start must be a nonzero vector of length {n}")
             q = start / norm + 0.01 * q
         x, converged, steps = _top_eigenvector(m, q)
     labels = _signs(x)

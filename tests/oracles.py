@@ -14,7 +14,7 @@ import numpy as np
 from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, generator, stream
 from cbmdetect.ldp import EPS_IDENTITY
 from cbmdetect.model import FOREIGN, TernaryGraph, canonical, n_pairs, pair_indices
-from cbmdetect.recovery import RESTARTS, _ascend, _polish, _signs, stack_dense
+from cbmdetect.recovery import _ascend, _polish, _signs
 
 
 def edge_pmf(w, prod, p, zeta):
@@ -178,8 +178,8 @@ def instability_distances(n, estimator, cap):
     return graphs, out
 
 
-def sdp_restart(m, seed, k):
-    """Restart k of sdp_estimate run alone on M, from its seeded start.
+def sdp_start(m, seed, k=0):
+    """sdp_estimate's rule on M from generator(seed, SOLVER, k)'s block, drawn afresh.
 
     Returns (objective, canonical labels, certified, steps).
     """
@@ -190,20 +190,6 @@ def sdp_restart(m, seed, k):
     v, certified, steps, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
     labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
     return float(labels @ m @ labels), canonical(labels), certified, steps
-
-
-def sdp_all_restarts(graphs, seed):
-    """sdp_estimate's rule with every restart run to its end.
-
-    Each of the RESTARTS seeded blocks ascends until its own certificate or
-    MAX_ITERS, whether or not an earlier one was certified; then the best
-    rounded-and-polished objective wins, earliest restart on ties.
-    Returns (canonical labels, objective, status).
-    """
-    m = stack_dense(graphs)[1]
-    runs = [sdp_restart(m, seed, k) for k in range(RESTARTS)]
-    objective, labels, certified, _ = max(runs, key=lambda run: run[0])  # first maximum
-    return labels, objective, "converged" if certified else "max_iters"
 
 
 def eigvalsh_certifies(m, dual, f, bar):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,15 +207,14 @@ def test_extrapolate_is_exact_on_two_geometric_modes():
         assert _extrapolate(np.tile(limit, (count, 1))) is None
 
 
-def test_sdp_stops_at_a_certified_first_restart():
+def test_sdp_certifies_from_its_one_seeded_start():
     g, _ = _planted(24, seed=2)
-    obj, first, certified, steps = oracles.sdp_restart(g.dense(), 0, 0)
+    obj, labels, certified, steps = oracles.sdp_start(g.dense(), 0)
     assert certified and steps > 0
     result = sdp_estimate(g, seed=0)
-    assert result.iterations == steps
-    assert result.status == "converged"
-    assert result.objective == obj
-    assert np.array_equal(result.labels, first)
+    assert (result.objective, result.status, result.iterations) == (obj, "converged", steps)
+    assert np.array_equal(result.labels, labels)
+    assert not hasattr(recovery, "RESTARTS")
 
 
 def _n50_draw(seed):
@@ -222,9 +223,9 @@ def _n50_draw(seed):
     return perturb_graph(sample_cbm(params, pre, seed=seed), 1.5, seed=seed)
 
 
-# (graph, solver seed) with no restart certified after 3 steps: on the
-# perturbed draw restarts 1 and 2 tie above restart 0; on the single edge
-# every restart ties, and restarts 0 and 2 differ in the free nodes 2 and 3
+# (graph, solver seed) with no seeded start certified after 3 steps: on the
+# perturbed draw starts 1 and 2 tie above start 0; on the single edge every
+# start ties, and starts 0 and 2 differ in the free nodes 2 and 3
 UNCERTIFIED = [
     pytest.param(lambda: _n50_draw(8), 0, id="n50 draw 8"),
     pytest.param(lambda: TernaryGraph(4, np.array([1, 0, 0, 0, 0, 0], np.int8)), 3, id="one edge"),
@@ -232,34 +233,32 @@ UNCERTIFIED = [
 
 
 @pytest.mark.parametrize("make, seed", UNCERTIFIED)
-def test_sdp_runs_every_restart_when_none_certifies(monkeypatch, make, seed):
+def test_sdp_returns_max_iters_from_an_uncertified_start(monkeypatch, make, seed):
     monkeypatch.setattr(recovery, "MAX_ITERS", 3)
     g = make()
-    runs = [oracles.sdp_restart(g.dense(), seed, k) for k in range(recovery.RESTARTS)]
+    runs = [oracles.sdp_start(g.dense(), seed, k) for k in range(3)]
     assert not any(certified for _, _, certified, _ in runs)
-    objs = [obj for obj, _, _, _ in runs]
-    win = objs.index(max(objs))
-    ties = [k for k in range(len(runs)) if objs[k] == objs[win]]
-    # each case exercises a half of the rule: a later restart wins, or a
-    # later tied restart has other labels
-    assert win > 0 or any(not np.array_equal(runs[k][1], runs[win][1]) for k in ties)
+    # each case would tell a best-of rule over starts 0-2 apart: a later
+    # start wins, or a later tied start has other labels
+    assert any(run[0] > runs[0][0] or not np.array_equal(run[1], runs[0][1]) for run in runs[1:])
     result = sdp_estimate(g, seed=seed)
-    assert result.status == "max_iters"
-    assert result.iterations == sum(steps for _, _, _, steps in runs) == 3 * recovery.RESTARTS
-    assert result.objective == objs[win]
-    assert np.array_equal(result.labels, runs[win][1])
+    obj, labels, _, steps = runs[0]
+    assert (result.objective, result.status, result.iterations) == (obj, "max_iters", 3)
+    assert np.array_equal(result.labels, labels)
 
 
 @pytest.mark.parametrize("window, count", [(1, 60), (17, 20)])
-def test_sdp_matches_the_all_restarts_rule(window, count):
-    # stopping at the first certified restart keeps the labels that running
-    # every restart and taking the best would give
+def test_sdp_certifies_every_draw_from_one_start(window, count):
+    # the one seeded start certifies, and no other seeded start would have
+    # rounded to a better labeling
     for draw in range(count):
         graphs = [_n50_draw(s) for s in range(100 * draw, 100 * draw + window)]
-        labels, objective, status = oracles.sdp_all_restarts(graphs, seed=draw)
+        m = stack_dense(graphs)[1]
+        obj, labels, _, steps = oracles.sdp_start(m, draw)
         result = sdp_estimate(graphs, seed=draw)
+        assert (result.objective, result.status, result.iterations) == (obj, "converged", steps), draw
         assert np.array_equal(result.labels, labels), draw
-        assert (result.objective, result.status) == (objective, status), draw
+        assert all(oracles.sdp_start(m, draw, k)[0] <= obj for k in (1, 2)), draw
 
 
 def test_sdp_recovers_planted_labels():
@@ -453,7 +452,8 @@ def _isolate_node_0(g):
     ids=["n50-a5", "n50-isolated-node", "n8-planted"],
 )
 def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make, eigh_calls):
-    # a graph sent to eigh costs no eigvalsh call and no solve first
+    # a graph sent to eigh costs no squaring, eigvalsh call or solve first;
+    # every other graph is squared, and eigvalsh runs where that proves nothing
     graphs = [make(seed) for seed in range(10)]
     want = [_eigh_signs(g.dense()) for g in graphs]
     counted = []
@@ -461,11 +461,150 @@ def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make
         solver = getattr(np.linalg, name)
         counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
         monkeypatch.setattr(np.linalg, name, counting)
+    square = recovery._squared_top_eigenvector
+
+    def squaring(m):
+        proved = square(m)
+        counted.append("unproved" if proved is None else "proved")
+        return proved
+
+    monkeypatch.setattr(recovery, "_squared_top_eigenvector", squaring)
     got = [spectral_estimate(g, seed=0).labels for g in graphs]
     assert counted.count("eigh") == eigh_calls * len(graphs)
-    assert counted.count("eigvalsh") == (1 - eigh_calls) * len(graphs)
+    assert counted.count("proved") + counted.count("unproved") == (1 - eigh_calls) * len(graphs)
+    assert counted.count("eigvalsh") == counted.count("unproved")
     for labels, eigh_labels in zip(got, want):
         assert np.array_equal(labels, eigh_labels)
+
+
+def test_raw_n50_draws_never_reach_eigvalsh(monkeypatch):
+    # the central release estimates raw snapshots, whose gap squaring proves
+    params = CbmParams.from_scale(50, 5.0, 0.1)
+    graphs = [sample_cbm(params, _halves(50), seed=seed) for seed in range(20)]
+    want = [_eigh_signs(g.dense()) for g in graphs]
+    counted = []
+    for name in ("eigh", "eigvalsh", "solve"):
+        solver = getattr(np.linalg, name)
+        counting = lambda *args, name=name, solver=solver: counted.append(name) or solver(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    for g, eigh_labels in zip(graphs, want):
+        result = spectral_estimate(g, seed=0)
+        assert (result.status, result.iterations) == ("converged", 0)
+        assert np.array_equal(result.labels, eigh_labels)
+    assert counted == []
+
+
+@pytest.mark.parametrize("n, squared", [(recovery.SQUARING_MAX_N, True), (recovery.SQUARING_MAX_N + 1, False)])
+def test_squaring_runs_only_up_to_its_size(monkeypatch, n, squared):
+    # above SQUARING_MAX_N its products cost more than eigvalsh, which runs first
+    g = sample_cbm(CbmParams.from_scale(n, 5.0, 0.1), _halves(n), seed=3)
+    want = _eigh_signs(g.dense())
+    counted = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+        counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
+        monkeypatch.setattr(np.linalg, name, counting)
+    square = recovery._squared_top_eigenvector
+    monkeypatch.setattr(recovery, "_squared_top_eigenvector", lambda m: counted.append("squared") or square(m))
+    assert np.array_equal(spectral_estimate(g, seed=0).labels, want)
+    assert counted == (["squared"] if squared else ["eigvalsh"])
+
+
+@st.composite
+def sign_proof_cases(draw):
+    """(M, hard): a sum of 1-3 ternary graphs, planted or not; hard ones no proof may pass.
+
+    The hard cases: two disjoint copies (a repeated lambda_1), the bipartite
+    double cover [[0, A], [A, 0]] (|lambda_n| = lambda_1), and a zero row.
+    """
+    n = draw(st.integers(3, 60))
+    hard = draw(st.sampled_from([None, None, "repeated", "bipartite", "zero row"]))
+    size = n // 2 if hard in ("repeated", "bipartite") else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planted = draw(st.booleans())
+    labels = random_labels(size, rng)
+    m = np.zeros((size, size))
+    for _ in range(draw(st.integers(1, 3))):
+        a = rng.integers(-1, 2, (size, size))
+        if planted:
+            agree = rng.random((size, size)) < 0.6
+            a = np.where(agree, np.outer(labels, labels), a)
+        a = np.triu(a, 1)
+        m += a + a.T
+    if hard in ("repeated", "bipartite"):
+        zero = np.zeros_like(m)
+        m = np.block([[m, zero], [zero, m]] if hard == "repeated" else [[zero, m], [m, zero]])
+    elif hard == "zero row":
+        k = draw(st.integers(0, n - 1))
+        m[k] = m[:, k] = 0.0
+    return m, hard
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_proof_cases())
+def test_squaring_proof_holds_where_it_passes(case):
+    m, hard = case
+    if not m.any():
+        return
+    proved = recovery._squared_top_eigenvector(m)
+    if hard is not None:
+        assert proved is None
+    elif proved is not None:
+        x, mu = proved
+        lam = np.linalg.eigvalsh(m)
+        # eigvalsh's own rounding is about n eps ||M||_F
+        assert lam[-2] < mu + len(m) * np.finfo(float).eps * np.linalg.norm(m)
+        assert mu < lam[-1]
+        assert np.array_equal(canonical(_signs(x)), _eigh_signs(m))
+
+
+def _two_plane_case(beta, theta):
+    """(M, x): M with eigenvalues 100, 99, 0; x at angle theta from v1 towards v2.
+
+    v1 has second entry -sin(beta) / ||.||, v2 lies in the plane of v1 and
+    e_2, so x's second entry turns positive once theta passes about beta.
+    """
+    v1 = np.array([1.0, -math.sin(beta), 0.8])
+    v1 /= np.linalg.norm(v1)
+    v2 = np.array([0.0, 1.0, 0.0]) - v1[1] * v1
+    v2 /= np.linalg.norm(v2)
+    m = 100.0 * np.outer(v1, v1) + 99.0 * np.outer(v2, v2)
+    return (m + m.T) / 2.0, math.cos(theta) * v1 + math.sin(theta) * v2
+
+
+def test_sign_proof_is_tight():
+    # the residual bound gives sin(angle) <= tan(theta); x has v1's signs
+    # exactly while sin(angle) < min |x_i|, so x one sign away from v1,
+    # within sqrt(2) of that bound, is refused, and far from it, proved
+    norm = lambda m: 2.0 * np.linalg.norm(m)
+    m, x = _two_plane_case(-0.3, 0.1)
+    mu = recovery._sign_proof(m, x, norm(m))
+    assert mu is not None and 99.0 < mu < x @ m @ x
+    m, x = _two_plane_case(0.005, 0.1)
+    v1 = np.linalg.eigh(m)[1][:, -1]
+    assert not np.array_equal(canonical(_signs(x)), canonical(_signs(v1)))
+    # a bound looser by sqrt(2) would pass it, with the proof's eighth of room
+    assert abs(x).min() < math.tan(0.1) < math.sqrt(2.0) * abs(x).min() / 1.125
+    assert recovery._sign_proof(m, x, norm(m)) is None
+
+
+def test_psd_proof_refuses_a_singular_laplacian():
+    # a graph Laplacian is PSD with lambda_min exactly 0, so L - err I is not
+    # PSD for any err > 0; a plain factorization passes on some of them
+    rng = np.random.default_rng(0)
+    plain = 0
+    for _ in range(20):
+        a = np.triu(rng.random((30, 30)) < 0.3, 1).astype(float)
+        a += a.T
+        lap = np.diag(a.sum(axis=1)) - a
+        try:
+            np.linalg.cholesky(lap)
+            plain += 1
+        except np.linalg.LinAlgError:
+            pass
+        assert not recovery._proves_psd(lap.copy(), 1e-300)
+        assert recovery._proves_psd(lap + 1e-9 * np.eye(30), 1e-12)
+    assert plain > 0
 
 
 def test_spectral_zero_graph_degenerate():
@@ -557,8 +696,9 @@ def test_warm_start_moves_only_the_lanczos_start():
     warm = spectral_estimate(g, seed=0, start=_halves(EIGH_MAX_N))
     assert np.array_equal(warm.labels, cold.labels)
     assert (warm.objective, warm.status, warm.iterations) == (cold.objective, cold.status, 0)
-    n = EIGH_MAX_N + 1
-    big = _perturbed_draw(n, 5.0, 1)
-    for bad in (np.zeros(n), np.ones(n - 1), np.full(n, np.nan), np.full(n, np.inf)):
-        with pytest.raises(ValueError):
-            spectral_estimate(big, seed=0, start=bad)
+    # a bad start is refused on either side of EIGH_MAX_N, and at n = 50
+    for n in (50, EIGH_MAX_N, EIGH_MAX_N + 1):
+        graph = _perturbed_draw(n, 5.0, 1)
+        for bad in (np.zeros(n), np.ones(n - 1), np.ones(7), np.full(n, np.nan), np.full(n, np.inf)):
+            with pytest.raises(ValueError):
+                spectral_estimate(graph, seed=0, start=bad)
