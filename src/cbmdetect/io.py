@@ -10,6 +10,7 @@ byte-identical.
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -100,13 +101,24 @@ def read_graph_csv(path):
 
 
 def write_stream_csv(graphs, path, times=None):
-    """Write a graph sequence; times defaults to 1, 2, ..."""
+    """Write a graph sequence; times, distinct integers >= 0, defaults to 1, 2, ...
+
+    ingest_stream merges rows that share a timestep and refuses a negative
+    or non-integer one, so such times raise here instead.
+    """
     graphs = list(graphs)
     if times is None:
         times = list(range(1, len(graphs) + 1))
-    times = list(times)
+    try:
+        times = [operator.index(t) for t in times]
+    except TypeError as exc:
+        raise ValueError(f"times must be integers: {exc}") from exc
     if len(times) != len(graphs):
         raise ValueError("times and graphs must have equal length")
+    if any(t < 0 for t in times):
+        raise ValueError(f"times must be >= 0, got {min(times)}")
+    if len(set(times)) < len(times):
+        raise ValueError("times must be distinct")
     if not graphs:
         raise ValueError("need at least one graph to fix n in the header")
     n = graphs[0].n

@@ -9,13 +9,12 @@ shifted to cover its rounding and the caller's (Rump), proves a matrix
 positive semidefinite in exact arithmetic. The gap certificate is weak
 duality at the ascent's own dual or at one extrapolated from its recent
 steps, which proves the gap long before the first-order dual can; the
-helper proves the bound's lambda_max. Up to n = SQUARING_MAX_N the
-eigenvector's signs come from a few squarings of M^2: a Davis-Kahan bound
-turns a proved gap below the squared vector's Rayleigh quotient into its
-signs, and the helper proves the gap from a rank-one deflation of M. Where
-squaring has not converged, and for n up to EIGH_MAX_N, M's eigenvalues
-and one linear solve give signs that the same bound certifies, with `eigh`
-where it fails. Above
+helper proves the bound's lambda_max. Up to n = EIGH_MAX_N the
+eigenvector's signs are proved: a Davis-Kahan bound turns a proved gap
+below a candidate vector's Rayleigh quotient into its signs, and the helper
+proves the gap from a rank-one deflation of M. The candidates are rows of
+a few squarings of M^2 (n <= SQUARING_MAX_N), then one linear solve at
+eigvalsh's lambda_1; `eigh` decides where none is proved. Above
 EIGH_MAX_N they come from Lanczos, started from a seeded Gaussian or, given
 a `start` such as a detector's running estimate, from it plus a hundredth
 of that Gaussian. Seeded starts are drawn once per (seed, purpose index,
@@ -297,76 +296,57 @@ def _sign_proof(m, x, norm_m):
     return mu if _proves_psd(b, EPS * (3.0 * tau + norm_m)) else None
 
 
-def _squared_top_eigenvector(m):
-    """(x, mu) with x proved to have the signs of m's top eigenvector, or None.
+def _dense_candidates(m):
+    """(x, norm_m): unit vectors for _sign_proof, cheapest first, with norm_m >= ||m||_F.
 
-    Repeated squaring of m^2 / ||m||_F^2, each square divided by its trace,
-    gives m^(2^(k + 1)) up to scale after k squarings: a power iteration
-    whose every step squares the ratio |lambda_i| / max |lambda|. x is its
-    row with the largest diagonal entry, scaled to unit length, and
-    _sign_proof decides it after each count of squarings in SIGN_TRIES,
-    with mu the bound it proved on lambda_2. None if no try passes, for
-    instance when lambda_1 is repeated, when |lambda_n| >= lambda_1, or
-    when v has an entry at or near zero. m must have no zero row.
+    Up to n = SQUARING_MAX_N, repeated squaring of m^2 / ||m||_F^2, each
+    square divided by its trace, gives m^(2^(k + 1)) up to scale after k
+    squarings: a power iteration whose every step squares the ratio
+    |lambda_i| / max |lambda|. Its row with the largest diagonal entry is a
+    candidate after each count of squarings in SIGN_TRIES; above that size
+    its products cost more than eigvalsh. The last candidate is one step of
+    inverse iteration (Parlett, The Symmetric Eigenvalue Problem, ch. 4):
+    one LU solve of ((theta + tol) I - m) x = (1, ..., n), theta eigvalsh's
+    lambda_1 and tol = RITZ_TOL max(1, |theta|); nothing is drawn. norm_m
+    is sqrt(tr m^2) from the squaring, or else the root of the sum of m's
+    n^2 squared entries, padded by n eps or n^2 eps, each above the
+    relative rounding error of the sum under the root.
     """
     n = len(m)
-    b = m @ m
-    trace = b.trace()
-    norm_m = math.sqrt(trace) * (1.0 + n * EPS)  # the trace's relative error is below n eps
-    b *= 1.0 / trace
-    for k in range(1, SIGN_TRIES[-1] + 1):
-        b = b @ b
-        b *= 1.0 / b.trace()
-        if k in SIGN_TRIES:
-            x = b[b.diagonal().argmax()]
-            x = x * (1.0 / math.sqrt(x @ x))
-            mu = _sign_proof(m, x, norm_m)
-            if mu is not None:
-                return x, mu
-    return None
+    if n <= SQUARING_MAX_N:
+        b = m @ m
+        trace = b.trace()
+        norm_m = math.sqrt(trace) * (1.0 + n * EPS)
+        b *= 1.0 / trace
+        for k in range(1, SIGN_TRIES[-1] + 1):
+            b = b @ b
+            b *= 1.0 / b.trace()
+            if k in SIGN_TRIES:
+                x = b[b.diagonal().argmax()]
+                yield x * (1.0 / math.sqrt(x @ x)), norm_m
+    else:
+        norm_m = math.sqrt(np.vdot(m, m)) * (1.0 + n * n * EPS)
+    theta = np.linalg.eigvalsh(m)[-1]
+    a = np.negative(m)
+    a.flat[:: n + 1] += theta + RITZ_TOL * max(1.0, abs(theta))
+    x = np.linalg.solve(a, np.arange(1.0, n + 1.0))
+    x /= math.sqrt(x @ x)
+    yield x, norm_m
 
 
 def _dense_top_eigenvector(m):
     """Vector with the entrywise signs of symmetric m's top eigenvector v.
 
-    Up to n = SQUARING_MAX_N, first by squaring (_squared_top_eigenvector),
-    which proves the signs of its vector with one Cholesky factorization;
-    its matrix products cost more than eigvalsh above that size. Where
-    squaring fails within SIGN_TRIES[-1] squarings (a small gap, an entry
-    of v near zero), or n is larger: eigvalsh gives theta, the computed lambda_1, and the computed gap
-    lambda_1 - lambda_2. e = n eps ||m||_F bounds each of three rounding
-    errors: |theta - lambda_1|, |lambda_2's computed value - lambda_2|, and
-    the error of the computed residual r = m x - theta x. One LU solve of
-    ((theta + tol) I - m) x = (1, ..., n), tol = RITZ_TOL * max(1, |theta|),
-    is a step of inverse iteration (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 4); nothing is drawn. By Davis & Kahan the angle between
-    unit x and v has sine at most ||m x - lambda_1 x|| / (lambda_1 -
-    lambda_2), and ||x -+ v||_inf is at most sqrt(2) times that sine. The
-    true residual is at most ||r|| + 2e (the residual's rounding plus
-    theta's) and the true gap at least the computed gap less 2e (both
-    eigenvalues' errors). So once sqrt(2) (||r|| + 2e) < (computed gap - 2e)
-    min_i |x_i|, x has v's signs up to a global flip, and no entry of v is
-    zero. Otherwise (a repeated lambda_1, an entry of v near zero) the
-    result is the last column of eigh(m). An m with an all-zero row goes to
-    eigh directly: its isolated node is an exact zero of v whenever
-    lambda_1 > 0, so neither proof could pass.
+    The first of _dense_candidates whose signs _sign_proof proves, else the
+    last column of eigh(m), as where lambda_1 is repeated or an entry of v
+    is at or near zero. An m with an all-zero row goes to eigh directly:
+    its isolated node is an exact zero of v whenever lambda_1 > 0, so no
+    proof could pass.
     """
-    n = len(m)
     if m.any(axis=1).all():
-        proved = _squared_top_eigenvector(m) if n <= SQUARING_MAX_N else None
-        if proved is not None:
-            return proved[0]
-        lam = np.linalg.eigvalsh(m)
-        theta = lam[-1]
-        e = n * EPS * math.sqrt(lam @ lam)  # ||m||_F = ||lambda||_2
-        a = np.negative(m)
-        a.flat[:: n + 1] += theta + RITZ_TOL * max(1.0, abs(theta))
-        x = np.linalg.solve(a, np.arange(1.0, n + 1.0))
-        x /= math.sqrt(x @ x)
-        r = m @ x - theta * x
-        gap = theta - lam[-2] - 2.0 * e
-        if math.sqrt(2.0) * (math.sqrt(r @ r) + 2.0 * e) < gap * np.abs(x).min():
-            return x
+        for x, norm_m in _dense_candidates(m):
+            if _sign_proof(m, x, norm_m) is not None:
+                return x
     return np.linalg.eigh(m)[1][:, -1]
 
 
@@ -461,10 +441,10 @@ def sdp_estimate(graphs, seed=0):
 def spectral_estimate(graphs, seed=0, start=None):
     """Signs of the eigenvector for the largest eigenvalue of M.
 
-    Up to n = EIGH_MAX_N the signs come from repeated squaring of M^2 and
-    one Cholesky factorization that proves them (n <= SQUARING_MAX_N);
-    where squaring has not converged or n is larger, from M's eigenvalues and one sign-certified linear solve; and
-    from `np.linalg.eigh(M)` where neither proof can pass (see
+    Up to n = EIGH_MAX_N they are those of the first candidate vector whose
+    signs one Cholesky factorization proves (rows of repeated squarings of
+    M^2 for n <= SQUARING_MAX_N, then one linear solve at M's top
+    eigenvalue), or of `np.linalg.eigh(M)` where none is proved (see
     _dense_top_eigenvector): status "converged" (LAPACK raises if it
     fails), iterations 0, and nothing is drawn. Above EIGH_MAX_N, Lanczos
     runs on M from a seeded Gaussian start; status is "converged" when its

@@ -109,6 +109,27 @@ def test_write_stream_validation(tmp_path):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("times", [[1, 1], [-1, 2], [0.5, 2], [1.0, 2]])
+def test_write_stream_refuses_times_that_do_not_round_trip(tmp_path, times):
+    # a repeated time would read back as one merged graph, a negative or
+    # non-integer one as a file ingest_stream refuses
+    graphs = [TernaryGraph(3, np.array(upper, dtype=np.int8)) for upper in ([1, 0, 0], [0, -1, 0])]
+    with pytest.raises(ValueError):
+        write_stream_csv(graphs, tmp_path / "s.csv", times=times)
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_stream_round_trips_explicit_integer_times(tmp_path):
+    rng = np.random.default_rng(2)
+    graphs = [TernaryGraph(5, rng.choice([-1, 1], size=10).astype(np.int8)) for _ in range(4)]
+    path = tmp_path / "stream.csv"
+    write_stream_csv(graphs, path, times=[np.int64(9), 0, 3, True])
+    assert ingest_stream(path) == [graphs[1], graphs[3], graphs[2], graphs[0]]
+    text = path.read_text()
+    write_stream_csv(ingest_stream(path), path, times=[0, 1, 3, 9])
+    assert path.read_text() == text
+
+
 def test_trajectory_csv(tmp_path):
     rows = [
         {"t": 1, "stat": 0.5, "noisy_stat": 0.4, "stopped": False, "hamming_est_vs_post": 2},

@@ -421,14 +421,15 @@ def doubled_graphs(draw):
 @given(st.one_of(small_graphs(), doubled_graphs()))
 def test_dense_top_eigenvector_has_eigh_signs(graph):
     # small graphs bring isolated nodes (an exact zero in v), doubled ones a
-    # repeated lambda_1; the certificate must pass neither, so eigh decides
+    # repeated lambda_1; no proof may pass either, so eigh decides
     m = graph.dense()
     assert np.array_equal(canonical(_signs(_dense_top_eigenvector(m))), _eigh_signs(m))
 
 
 @pytest.mark.parametrize("n", [50, 100, EIGH_MAX_N])
-@pytest.mark.parametrize("a", [2.0, 5.0])
+@pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
 def test_spectral_dense_path_has_eigh_signs(n, a):
+    # at a = 1 most n = 50 draws are decided by the inverse-iteration candidate
     for seed in range(8):
         g = _perturbed_draw(n, a, seed)
         result = spectral_estimate(g, seed=0)
@@ -442,6 +443,29 @@ def _isolate_node_0(g):
     return TernaryGraph.from_dense(m)
 
 
+def _count_dense_path(monkeypatch, counted, solvers=("eigh", "eigvalsh")):
+    """Append to counted each named np.linalg call and each sign proof's verdict."""
+    for name in solvers:
+        solver = getattr(np.linalg, name)
+        counting = lambda *args, name=name, solver=solver: counted.append(name) or solver(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    proof = recovery._sign_proof
+
+    def proving(m, x, norm_m):
+        mu = proof(m, x, norm_m)
+        counted.append("unproved" if mu is None else "proved")
+        return mu
+
+    monkeypatch.setattr(recovery, "_sign_proof", proving)
+
+
+# the dense paths of a graph not sent to eigh: a squared row proved after k
+# failed tries, or every try failed and eigvalsh's inverse-iteration candidate proved
+TRIES = len(recovery.SIGN_TRIES)
+PROVED_PATHS = [["unproved"] * k + ["proved"] for k in range(TRIES)]
+PROVED_PATHS.append(["unproved"] * TRIES + ["eigvalsh", "proved"])
+
+
 @pytest.mark.parametrize(
     "make, eigh_calls",
     [
@@ -452,29 +476,20 @@ def _isolate_node_0(g):
     ids=["n50-a5", "n50-isolated-node", "n8-planted"],
 )
 def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make, eigh_calls):
-    # a graph sent to eigh costs no squaring, eigvalsh call or solve first;
-    # every other graph is squared, and eigvalsh runs where that proves nothing
+    # a graph sent to eigh costs no squaring, proof, eigvalsh call or solve
+    # first; every other graph is squared, eigvalsh runs only where no
+    # squared row is proved, and eigh only where no candidate is
     graphs = [make(seed) for seed in range(10)]
     want = [_eigh_signs(g.dense()) for g in graphs]
     counted = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
-        monkeypatch.setattr(np.linalg, name, counting)
-    square = recovery._squared_top_eigenvector
-
-    def squaring(m):
-        proved = square(m)
-        counted.append("unproved" if proved is None else "proved")
-        return proved
-
-    monkeypatch.setattr(recovery, "_squared_top_eigenvector", squaring)
-    got = [spectral_estimate(g, seed=0).labels for g in graphs]
-    assert counted.count("eigh") == eigh_calls * len(graphs)
-    assert counted.count("proved") + counted.count("unproved") == (1 - eigh_calls) * len(graphs)
-    assert counted.count("eigvalsh") == counted.count("unproved")
-    for labels, eigh_labels in zip(got, want):
-        assert np.array_equal(labels, eigh_labels)
+    _count_dense_path(monkeypatch, counted)
+    for g, eigh_labels in zip(graphs, want):
+        counted.clear()
+        assert np.array_equal(spectral_estimate(g, seed=0).labels, eigh_labels)
+        if eigh_calls:
+            assert counted == ["eigh"]
+        else:
+            assert counted in PROVED_PATHS
 
 
 def test_raw_n50_draws_never_reach_eigvalsh(monkeypatch):
@@ -483,15 +498,13 @@ def test_raw_n50_draws_never_reach_eigvalsh(monkeypatch):
     graphs = [sample_cbm(params, _halves(50), seed=seed) for seed in range(20)]
     want = [_eigh_signs(g.dense()) for g in graphs]
     counted = []
-    for name in ("eigh", "eigvalsh", "solve"):
-        solver = getattr(np.linalg, name)
-        counting = lambda *args, name=name, solver=solver: counted.append(name) or solver(*args)
-        monkeypatch.setattr(np.linalg, name, counting)
+    _count_dense_path(monkeypatch, counted, ("eigh", "eigvalsh", "solve"))
     for g, eigh_labels in zip(graphs, want):
+        counted.clear()
         result = spectral_estimate(g, seed=0)
         assert (result.status, result.iterations) == ("converged", 0)
         assert np.array_equal(result.labels, eigh_labels)
-    assert counted == []
+        assert counted in PROVED_PATHS[:TRIES]
 
 
 @pytest.mark.parametrize("n, squared", [(recovery.SQUARING_MAX_N, True), (recovery.SQUARING_MAX_N + 1, False)])
@@ -500,24 +513,20 @@ def test_squaring_runs_only_up_to_its_size(monkeypatch, n, squared):
     g = sample_cbm(CbmParams.from_scale(n, 5.0, 0.1), _halves(n), seed=3)
     want = _eigh_signs(g.dense())
     counted = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
-        counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
-        monkeypatch.setattr(np.linalg, name, counting)
-    square = recovery._squared_top_eigenvector
-    monkeypatch.setattr(recovery, "_squared_top_eigenvector", lambda m: counted.append("squared") or square(m))
+    _count_dense_path(monkeypatch, counted)
     assert np.array_equal(spectral_estimate(g, seed=0).labels, want)
-    assert counted == (["squared"] if squared else ["eigvalsh"])
+    assert counted == (["proved"] if squared else ["eigvalsh", "proved"])
 
 
 @st.composite
 def sign_proof_cases(draw):
-    """(M, hard): a sum of 1-3 ternary graphs, planted or not; hard ones no proof may pass.
+    """(M, hard): a sum of 1-3 ternary graphs, planted or not, n on both sides of SQUARING_MAX_N.
 
-    The hard cases: two disjoint copies (a repeated lambda_1), the bipartite
-    double cover [[0, A], [A, 0]] (|lambda_n| = lambda_1), and a zero row.
+    The hard cases: two disjoint copies (a repeated lambda_1) and a zero
+    row, which no proof may pass, and the bipartite double cover [[0, A],
+    [A, 0]] (|lambda_n| = lambda_1), which no squared row may.
     """
-    n = draw(st.integers(3, 60))
+    n = draw(st.one_of(st.integers(3, 60), st.integers(recovery.SQUARING_MAX_N - 8, EIGH_MAX_N)))
     hard = draw(st.sampled_from([None, None, "repeated", "bipartite", "zero row"]))
     size = n // 2 if hard in ("repeated", "bipartite") else n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -540,22 +549,27 @@ def sign_proof_cases(draw):
     return m, hard
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(sign_proof_cases())
-def test_squaring_proof_holds_where_it_passes(case):
+def test_every_dense_candidate_proof_holds_where_it_passes(case):
     m, hard = case
     if not m.any():
         return
-    proved = recovery._squared_top_eigenvector(m)
-    if hard is not None:
-        assert proved is None
-    elif proved is not None:
-        x, mu = proved
-        lam = np.linalg.eigvalsh(m)
-        # eigvalsh's own rounding is about n eps ||M||_F
-        assert lam[-2] < mu + len(m) * np.finfo(float).eps * np.linalg.norm(m)
-        assert mu < lam[-1]
-        assert np.array_equal(canonical(_signs(x)), _eigh_signs(m))
+    n = len(m)
+    candidates = list(recovery._dense_candidates(m))
+    assert len(candidates) == (len(recovery.SIGN_TRIES) if n <= recovery.SQUARING_MAX_N else 0) + 1
+    lam = np.linalg.eigvalsh(m)
+    for k, (x, norm_m) in enumerate(candidates):
+        assert norm_m >= np.linalg.norm(m)
+        mu = recovery._sign_proof(m, x, norm_m)
+        squared = k < len(candidates) - 1
+        if hard in ("repeated", "zero row") or (hard == "bipartite" and squared):
+            assert mu is None
+        elif mu is not None:
+            # eigvalsh's own rounding is about n eps ||M||_F
+            assert lam[-2] < mu + n * np.finfo(float).eps * np.linalg.norm(m)
+            assert mu < lam[-1]
+            assert np.array_equal(canonical(_signs(x)), _eigh_signs(m))
 
 
 def _two_plane_case(beta, theta):
