@@ -104,7 +104,9 @@ def write_stream_csv(graphs, path, times=None):
     """Write a graph sequence; times, distinct integers >= 0, defaults to 1, 2, ...
 
     ingest_stream merges rows that share a timestep and refuses a negative
-    or non-integer one, so such times raise here instead.
+    or non-integer one, and the format has no row for a graph with no
+    revealed pair, whose timestep would read back as absent; such times and
+    graphs raise here instead.
     """
     graphs = list(graphs)
     if times is None:
@@ -124,6 +126,9 @@ def write_stream_csv(graphs, path, times=None):
     n = graphs[0].n
     if any(g.n != n for g in graphs):
         raise ValueError("stream graphs must share n")
+    empty = [t for t, g in zip(times, graphs) if not g.upper.any()]
+    if empty:
+        raise ValueError(f"graph at time {empty[0]} has no revealed pair and would not round-trip")
     _write_rows(path, n, sorted(zip(times, graphs), key=lambda tg: tg[0]))
 
 

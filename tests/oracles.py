@@ -178,6 +178,11 @@ def instability_distances(n, estimator, cap):
     return graphs, out
 
 
+def bulk_edge(m):
+    """sdp_estimate's lambda_min estimate: the semicircle's lower edge -2 ||M||_F / sqrt(n)."""
+    return -2.0 * math.sqrt(np.vdot(m, m) / len(m))
+
+
 def sdp_start(m, seed, k=0):
     """sdp_estimate's rule on M from generator(seed, SOLVER, k)'s block, drawn afresh.
 
@@ -186,8 +191,7 @@ def sdp_start(m, seed, k=0):
     n = len(m)
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
     v = generator(seed, SOLVER, k).standard_normal((n, rank))
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    v, certified, steps, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), lam_min)
+    v, certified, steps, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), bulk_edge(m))
     labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
     return float(labels @ m @ labels), canonical(labels), certified, steps
 

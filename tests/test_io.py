@@ -119,6 +119,29 @@ def test_write_stream_refuses_times_that_do_not_round_trip(tmp_path, times):
     assert not (tmp_path / "s.csv").exists()
 
 
+EMPTY_MIDDLE = [[1, 0, -1], [0, 0, 0], [1, 0, -1]]
+
+
+@pytest.mark.parametrize(
+    "uppers, times, bad", [(EMPTY_MIDDLE, None, 2), (EMPTY_MIDDLE, [4, 9, 12], 9), ([[0, 0, 0]], None, 1)]
+)
+def test_write_stream_refuses_an_empty_graph(tmp_path, uppers, times, bad):
+    # a graph with no revealed pair writes no row, so its timestep would
+    # read back as absent: [g, empty, g] as 2 graphs, one empty graph as []
+    graphs = [TernaryGraph(3, np.array(upper, dtype=np.int8)) for upper in uppers]
+    with pytest.raises(ValueError, match=f"time {bad} "):
+        write_stream_csv(graphs, tmp_path / "s.csv", times=times)
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_stream_round_trips_a_sparse_snapshot(tmp_path):
+    # one revealed pair is enough for a timestep to survive the round trip
+    graphs = [TernaryGraph(4, np.array(upper, dtype=np.int8)) for upper in ([1] * 6, [0, 0, 0, 0, 0, -1], [1, -1] * 3)]
+    path = tmp_path / "s.csv"
+    write_stream_csv(graphs, path)
+    assert ingest_stream(path) == graphs
+
+
 def test_stream_round_trips_explicit_integer_times(tmp_path):
     rng = np.random.default_rng(2)
     graphs = [TernaryGraph(5, rng.choice([-1, 1], size=10).astype(np.int8)) for _ in range(4)]

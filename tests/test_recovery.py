@@ -105,6 +105,8 @@ def _unit_block(n, rank, seed):
 @settings(max_examples=200)
 @given(small_graphs(), st.integers(0, 2**32 - 1))
 def test_power_step_never_lowers_objective(graph, seed):
+    # given M's exact lambda_min and no previous block, the step is Journee
+    # et al.'s, which cannot lower the objective; the ascent passes neither
     m = graph.dense()
     v = _unit_block(graph.n, 3, seed)
     mv = m @ v
@@ -135,8 +137,7 @@ def test_certified_blocks_meet_the_dual_bound(graph, seed):
     m = graph.dense()
     if not m.any():
         return
-    lam_min = float(np.linalg.eigvalsh(m)[0])
-    _, certified, steps, y, f = _ascend(m, _unit_block(graph.n, 3, seed), lam_min)
+    _, certified, steps, y, f = _ascend(m, _unit_block(graph.n, 3, seed), oracles.bulk_edge(m))
     assert 0 <= steps <= MAX_ITERS
     if certified:
         _assert_weak_duality(m, y, f, ml_exhaustive(graph).objective)
@@ -185,15 +186,18 @@ def test_certifies_is_a_proof_and_decides_like_eigvalsh(case):
 
 @pytest.mark.parametrize("window", [1, 3])
 def test_extrapolated_certificates_meet_the_dual_bound(window):
-    # single and summed n=50 draws certify through the extrapolated dual
+    # single and summed n=50 draws certify, some through the extrapolated
+    # dual and some by y itself; every certificate meets weak duality
+    extrapolated = 0
     for draw in range(10):
         graphs = [_n50_draw(s) for s in range(100 * draw, 100 * draw + window)]
         m = stack_dense(graphs)[1]
-        v, certified, steps, y, f = _ascend(m, _unit_block(50, 10, draw), float(np.linalg.eigvalsh(m)[0]))
+        v, certified, steps, y, f = _ascend(m, _unit_block(50, 10, draw), oracles.bulk_edge(m))
         assert certified and steps > 0
-        # a block certified by y itself would give back y as its own row products
-        assert not np.array_equal(y, np.einsum("ir,ir->i", m @ v, v))
+        # a block certified by y itself gives back y as its own row products
+        extrapolated += not np.array_equal(y, np.einsum("ir,ir->i", m @ v, v))
         _assert_weak_duality(m, y, f, sdp_estimate(graphs, seed=draw).objective)
+    assert extrapolated >= 1
 
 
 def test_extrapolate_is_exact_on_two_geometric_modes():
@@ -310,18 +314,27 @@ def test_sdp_decides_as_with_the_eigvalsh_bound(monkeypatch):
         assert (r.objective, r.status, r.iterations) == (w.objective, w.status, w.iterations)
 
 
-def test_sdp_calls_eigvalsh_once_and_never_eigh(monkeypatch):
-    # the shift's lambda_min is the one eigenvalue call; gap checks factor
+def test_sdp_calls_no_eigensolver(monkeypatch):
+    # the shift's lambda_min is estimated from ||M||_F; gap checks factor
     counted = []
-    for name in ("eigh", "eigvalsh", "cholesky"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "cholesky"):
         solver = getattr(np.linalg, name)
         counting = lambda m, name=name, solver=solver: counted.append(name) or solver(m)
         monkeypatch.setattr(np.linalg, name, counting)
-    result = sdp_estimate(_n50_draw(0), seed=0)
-    assert result.status == "converged"
-    assert counted.count("eigvalsh") == 1 and counted[0] == "eigvalsh"
-    assert counted.count("eigh") == 0
-    assert counted.count("cholesky") >= 1
+    for window in (1, 3):
+        result = sdp_estimate([_n50_draw(s) for s in range(window)], seed=0)
+        assert result.status == "converged"
+    assert set(counted) == {"cholesky"}
+
+
+def test_sdp_ascent_steps_per_call():
+    # the shifted ascent with eigvalsh's lambda_min and no heavy ball took
+    # 50.5 steps per call on these n=50 draws and 98.3 on the n=200 draws
+    # of test_sdp_certifies_up_to_n500
+    steps = [sdp_estimate(_n50_draw(s), seed=s).iterations for s in range(20)]
+    assert np.mean(steps) <= 42
+    steps = [sdp_estimate(_perturbed_draw(200, 5.0, s), seed=s).iterations for s in range(6)]
+    assert np.mean(steps) < 98.3
 
 
 @pytest.mark.parametrize("n, a, seed", [(200, 5.0, s) for s in range(6)] + [(500, 10.0, 0)])
