@@ -26,6 +26,17 @@ def _call_estimator(estimator, graph):
     return canonical(labels, graph.n)
 
 
+# Estimator calls distance_to_instability may need (the estimate itself plus
+# one per candidate edit) before it refuses to start; callers may raise it.
+# n = 12 at the default cap would need 11,906,313.
+MAX_ESTIMATOR_CALLS = 10**6
+
+
+def _enumeration_calls(m, cap):
+    """Worst-case estimator calls over m pairs: 1 + sum_{e=1}^{cap+1} C(m, e) 2^e."""
+    return 1 + sum(math.comb(m, e) * 2**e for e in range(1, cap + 2))
+
+
 def distance_to_instability(graph, estimator, cap=None):
     """Edits the estimate provably survives, exactly, by enumeration.
 
@@ -33,7 +44,8 @@ def distance_to_instability(graph, estimator, cap=None):
     estimate) - 1, or cap if no change is found within cap + 1 edits. An
     edit rewrites one unordered pair to either foreign symbol (both triangle
     copies at once). The estimator must be deterministic. Exhaustive, so
-    n <= 12.
+    n <= 12, and a call whose worst case needs more than
+    MAX_ESTIMATOR_CALLS estimator calls raises ValueError before any work.
     """
     if graph.n > 12:
         raise ValueError("exact instability distance is capped at n=12")
@@ -41,8 +53,14 @@ def distance_to_instability(graph, estimator, cap=None):
         cap = max(1, math.ceil(math.log(graph.n)))
     if cap < 0:
         raise ValueError("cap must be >= 0")
-    base = _call_estimator(estimator, graph)
     m = n_pairs(graph.n)
+    calls = _enumeration_calls(m, cap)
+    if calls > MAX_ESTIMATOR_CALLS:
+        raise ValueError(
+            f"exact instability distance at n={graph.n}, cap={cap} may need {calls:,} "
+            f"estimator calls, above cdp.MAX_ESTIMATOR_CALLS = {MAX_ESTIMATOR_CALLS:,}; lower the cap"
+        )
+    base = _call_estimator(estimator, graph)
     original = graph.upper
     for edits in range(1, cap + 2):
         for positions in itertools.combinations(range(m), edits):

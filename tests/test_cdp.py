@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -50,6 +51,17 @@ def test_distance_validation():
         distance_to_instability(TernaryGraph.zero(13), ml_exhaustive)
     with pytest.raises(ValueError):
         distance_to_instability(TernaryGraph.zero(4), ml_exhaustive, cap=-1)
+
+
+def test_distance_refuses_an_enumeration_over_budget():
+    # n = 12 at the default cap (3) would try sum_{e=1}^{4} C(66, e) 2^e edits,
+    # each an exhaustive ML solve; the count is refused before the first one
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="11,906,313 estimator calls"):
+        distance_to_instability(_complete_agree(12), ml_exhaustive)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="MAX_ESTIMATOR_CALLS"):
+        stability_release(_complete_agree(12), PrivacyBudget(1.0, 0.05), ml_exhaustive, seed=0)
 
 
 def test_stability_release_needs_positive_delta():

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -499,7 +501,179 @@ def test_recovery_comparison_eps_sweep():
     assert all(r["n"] == 10 for r in rows)
 
 
-# one trial of each privacy flavor, each estimator, one at n = 200, then the modules loaded
+def _force_prefetch(monkeypatch, on):
+    """Draw ahead at every graph size (on) or at none (off), as on a two-CPU host."""
+    monkeypatch.setattr(harness, "PREFETCH_MIN_N", 1 if on else math.inf)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _count_thread_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def counted(self):
+        started.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started
+
+
+def _spec(**kw):
+    return {"kind": "LDP", "b": 1.0, "epsilon": 2.0, "estimator": "spectral", **kw}
+
+
+def _replayed(sc, spec):
+    stream = [sample_cbm(sc.params_pre, sc.post, 60 + k) for k in range(8)]
+    return run_trajectory(sc, spec, truncation=8, seed=4, stream=stream)
+
+
+def _drawn_rows(sc, spec, parallelism=1):
+    cfg = ExperimentConfig(sc, spec, trials=4, truncation=8, seed=3, parallelism=parallelism)
+    return run_delay_trials(cfg).rows
+
+
+# each gives its rows for a scenario
+PREFETCH_RUNS = {
+    "ldp-sdp": lambda sc: _drawn_rows(sc, _spec(estimator="sdp")),
+    "ldp-spectral": lambda sc: _drawn_rows(sc, _spec()),
+    "ldp-replayed": lambda sc: _replayed(sc, _spec(b=0.5)),
+    "cdp-assumed": lambda sc: _drawn_rows(sc, {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "release": "assumed"}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("run", PREFETCH_RUNS)
+def test_prefetch_leaves_rows_unchanged(monkeypatch, run):
+    sc = _scenario(n=10, nu=2, flips=(0, 1))
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        for on in (False, True):
+            _force_prefetch(monkeypatch, on)
+            started = _count_thread_starts(monkeypatch)
+            rows[on] = PREFETCH_RUNS[run](sc)
+            assert bool(started) == on
+    finally:
+        sys.setswitchinterval(interval)
+    assert rows[True] == rows[False]
+    # a stop leaves one graph drawn past it
+    assert any(r["stopped"] for r in rows[True])
+
+
+def test_prefetch_at_the_real_threshold_leaves_rows_unchanged(monkeypatch):
+    # the unforced path, at the smallest n that prefetches
+    n = harness.PREFETCH_MIN_N
+    pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+    post = pre.copy()
+    post[:2] *= -1
+    params = CbmParams.from_scale(n, 20.0, 0.1)
+    sc = ChangeScenario(pre=pre, post=post, nu=1, params_pre=params, params_post=params)
+    cfg = ExperimentConfig(sc, _spec(b=2.0), trials=2, truncation=4, seed=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = _count_thread_starts(monkeypatch)
+    ahead = run_delay_trials(cfg).rows
+    assert started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_delay_trials(cfg).rows == ahead
+
+
+def test_pool_workers_match_a_prefetching_serial_run(monkeypatch):
+    _force_prefetch(monkeypatch, True)
+    sc = _scenario(n=10, nu=2, flips=(0, 1))
+    started = _count_thread_starts(monkeypatch)
+    serial = _drawn_rows(sc, _spec())
+    assert started
+    assert _drawn_rows(sc, _spec(), parallelism=2) == serial
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["inline", "prefetch"])
+def test_prefetch_draws_one_graph_past_a_stop_and_none_past_the_horizon(monkeypatch, on):
+    _force_prefetch(monkeypatch, on)
+    drawn = []
+    draw = harness.sample_cbm
+    monkeypatch.setattr(harness, "sample_cbm", lambda *args: drawn.append(1) or draw(*args))
+    sc = _scenario(n=10, nu=2, flips=(0, 1))
+    ends = set()
+    for b, horizon in ((1.0, 30), (1e6, 4)):
+        for trial in range(4):
+            drawn.clear()
+            for samples, stopped, _ in harness._steps(sc, _spec(b=b), trial, horizon):
+                pass
+            ends.add(stopped)
+            assert len(drawn) == samples + (on and stopped and samples < horizon)
+            assert stopped or samples == horizon
+    assert ends == {False, True}
+
+
+class RaisesAtTwo(NeverStops):
+    def step(self, raw, k):
+        if k == 2:
+            raise RuntimeError("runner failed at step 2")
+        return super().step(raw, k)
+
+
+class StopsAtOne(StopAtThree):
+    def step(self, raw, k):
+        super().step(raw, k)
+        return True
+
+
+@pytest.mark.parametrize("on", [False, True], ids=["inline", "prefetch"])
+def test_a_stream_error_surfaces_at_its_own_step(monkeypatch, on):
+    _force_prefetch(monkeypatch, on)
+    sc = _scenario(n=10, nu=1)
+
+    def stream():
+        for k in range(2):
+            yield sample_cbm(sc.params_pre, sc.pre, k)
+        raise ValueError("snapshot 3 is unreadable")
+
+    steps = []
+    with pytest.raises(ValueError, match="snapshot 3"):
+        for k, _, _ in harness._steps(sc, NeverStops, 0, 10, stream()):
+            steps.append(k)
+    assert steps == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "runner, raises",
+    [(StopsAtOne, None), (NeverStops, None), (RaisesAtTwo, RuntimeError)],
+    ids=["stops-at-step-1", "truncated", "runner-raises"],
+)
+def test_no_prefetch_thread_outlives_a_campaign(monkeypatch, runner, raises):
+    _force_prefetch(monkeypatch, True)
+    started = _count_thread_starts(monkeypatch)
+    draw = harness.sample_cbm
+    # slow draws, so a worker left unjoined would still be running at the end
+    monkeypatch.setattr(harness, "sample_cbm", lambda *args: time.sleep(0.02) or draw(*args))
+    before = threading.active_count()
+    cfg = ExperimentConfig(_scenario(n=10, nu=1), runner, trials=3, truncation=4)
+    if raises is None:
+        run_delay_trials(cfg)
+    else:
+        with pytest.raises(raises):
+            run_delay_trials(cfg)
+    assert started
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "min_n, cpus, ahead",
+    [(10, {0, 1}, True), (11, {0, 1}, False), (1, {0}, False)],
+    ids=["at-min-n", "below-min-n", "one-cpu"],
+)
+def test_prefetch_needs_min_n_and_two_cpus(monkeypatch, min_n, cpus, ahead):
+    monkeypatch.setattr(harness, "PREFETCH_MIN_N", min_n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    started = _count_thread_starts(monkeypatch)
+    run_delay_trials(ExperimentConfig(_scenario(n=10, nu=1), StopAtThree, trials=2, truncation=5))
+    assert bool(started) == ahead
+
+
+# one trial of each privacy flavor, each estimator, one at n = 200, one that
+# prefetches, then the modules loaded
 _ONE_TRIAL_CAMPAIGNS = """
 import sys
 import numpy as np
@@ -524,13 +698,22 @@ params = CbmParams.from_scale(200, 5.0, 0.1)
 scenario = ChangeScenario(pre=pre, post=post, nu=1, params_pre=params, params_post=params)
 detector = {"kind": "LDP", "b": 6.9, "epsilon": 1.5, "estimator": "spectral"}
 run_delay_trials(ExperimentConfig(scenario, detector, trials=1, truncation=20))
-print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+# from PREFETCH_MIN_N on, each next graph is drawn on a worker thread
+n = cbmdetect.harness.PREFETCH_MIN_N
+pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
+post = pre.copy()
+post[:2] *= -1
+params = CbmParams.from_scale(n, 5.0, 0.1)
+scenario = ChangeScenario(pre=pre, post=post, nu=1, params_pre=params, params_post=params)
+run_delay_trials(ExperimentConfig(scenario, detector, trials=1, truncation=3))
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "concurrent"))))
 """
 
 
 def test_campaigns_never_import_scipy():
     # scipy is a test-only dependency; importing scipy.linalg alone costs
-    # more than a benchmark workload's whole set-up
+    # more than a benchmark workload's whole set-up, and concurrent.futures
+    # (process pools only) adds several ms to it
     src = str(Path(cbmdetect.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
