@@ -26,15 +26,11 @@ from .detect import (
 )
 from .harness import (
     ExperimentConfig,
-    PhaseGrid,
     SimReport,
-    phase_grid,
-    recovery_comparison,
-    recovery_comparison_eps,
+    one_shot_sweep,
     run_arl_trials,
     run_delay_trials,
     run_trajectory,
-    theorem_boundary_a,
 )
 from .io import (
     ingest_stream,
@@ -43,6 +39,7 @@ from .io import (
     scenario_from_config,
     write_graph_csv,
     write_stream_csv,
+    write_sweep_csv,
     write_trajectory_csv,
 )
 from .ldp import (
@@ -97,6 +94,7 @@ from .theory import (
     min_window,
     min_window_terms,
     recovery_thresholds,
+    theorem_boundary_a,
     wadd_prediction,
     window_crossover_epsilon,
 )

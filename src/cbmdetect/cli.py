@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Verbs: generate, perturb, recover, detect, simulate, threshold, ingest.
+Verbs: generate, perturb, recover, detect, simulate, sweep, threshold,
+ingest.
 Every stochastic verb requires --seed, and the same argv always produces
 byte-identical output files. Exit codes: 0 success, 1 statistical failure
 (no alarm, degenerate estimate, fully censored campaign), 2 bad
@@ -8,12 +9,14 @@ configuration or input.
 """
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
 from .harness import (
     ExperimentConfig,
+    one_shot_sweep,
     run_arl_trials,
     run_delay_trials,
     run_trajectory,
@@ -25,6 +28,7 @@ from .io import (
     read_graph_csv,
     scenario_from_config,
     write_graph_csv,
+    write_sweep_csv,
     write_trajectory_csv,
 )
 from .ldp import ldp_threshold_rhs, perturb_graph
@@ -172,6 +176,25 @@ def _cmd_simulate(args):
     return 1 if report.censored_fraction >= 1.0 else 0
 
 
+def _cmd_sweep(args):
+    if (args.a is None) == (args.p is None):
+        raise ValueError("give exactly one of --a or --p")
+    cells = []
+    for n, x, zeta in itertools.product(args.n, args.a or args.p, args.zeta):
+        if args.a is not None:
+            params = CbmParams.from_scale(n, x, zeta)
+        else:
+            params = CbmParams(n=n, p=x, zeta=zeta)
+        eps = _resolve_eps(args, n)
+        if eps is None:
+            raise ValueError("sweep needs --eps or --eps-log-n")
+        cells += [(params, epsilon) for epsilon in ([eps] if args.eps_log_n else eps)]
+    rows = one_shot_sweep(cells, args.reps, seed=args.seed)
+    write_sweep_csv(rows, args.out)
+    print(f"wrote {args.out}: rows={len(rows)}")
+    return 0
+
+
 def _cmd_threshold(args):
     eps = _resolve_eps(args, args.n)
     if args.thm == 1:
@@ -241,13 +264,14 @@ VERB_MAP = {
     "recover": _cmd_recover,
     "detect": _cmd_detect,
     "simulate": _cmd_simulate,
+    "sweep": _cmd_sweep,
     "threshold": _cmd_threshold,
     "ingest": _cmd_ingest,
 }
 
 
-def _add_eps(p):
-    p.add_argument("--eps", type=float, default=None, help="privacy parameter")
+def _add_eps(p, nargs=None):
+    p.add_argument("--eps", type=float, nargs=nargs, default=None, help="privacy parameter")
     p.add_argument(
         "--eps-log-n", action="store_true", dest="eps_log_n", help="set eps = ln(n)"
     )
@@ -312,6 +336,18 @@ def build_parser():
     p.add_argument("--truncation", type=int, default=None, help="max steps per trial")
     p.add_argument("--parallelism", type=int, default=1, help="worker processes")
     p.add_argument("--seed", type=int, required=True, help="campaign seed")
+
+    p = sub.add_parser("sweep", help="one-shot SDP and spectral recovery over a grid of cells")
+    p.add_argument("--n", type=int, nargs="+", required=True, help="numbers of nodes")
+    p.add_argument("--a", type=float, nargs="+", default=None, help="signal scales, p = a ln(n)/n")
+    p.add_argument(
+        "--p", type=float, nargs="+", default=None, help="edge observation probabilities"
+    )
+    p.add_argument("--zeta", type=float, nargs="+", required=True, help="sign flip probabilities")
+    _add_eps(p, nargs="+")
+    p.add_argument("--reps", type=int, default=50, help="draws per cell")
+    p.add_argument("--seed", type=int, required=True, help="sweep seed")
+    p.add_argument("--out", required=True, help="output sweep CSV path")
 
     p = sub.add_parser("threshold", help="closed-form bounds and thresholds")
     p.add_argument(

@@ -1,18 +1,20 @@
-"""Simulation drivers: delay and run-length trials, phase grids, comparisons.
+"""Simulation drivers: delay and run-length trials, the one-shot recovery sweep.
 
 One loop runs every detection trial: `_steps` feeds a trial's graphs (drawn
 from the scenario, or replayed from a stream) to the runner that make_runner
 builds, one step per graph, until the runner stops. Campaign rows and the
 trajectory are folds over it; a run-length campaign is a delay campaign
-whose change never comes (nu = inf). The one-shot sweeps (phase grid, the
-SDP-vs-spectral comparisons) share one seeded draw, `_one_shot`.
+whose change never comes (nu = inf). `one_shot_sweep` is the other
+experiment: both estimators on one perturbed graph per draw, over a list
+of (params, epsilon) cells.
 
 Trials are reproducible regardless of scheduling. A trial's seed derives
 from (experiment seed, trial index) and owns one Philox stream per purpose,
 read in step order: SAMPLE for drawn graphs, PERTURB for replayed ones and
 LAPLACE for a central trial's bar, step noise and releases. Every estimate
 reuses one solver seed, derive_seed(trial seed, SOLVER). No seed depends on
-a step, so a parallel run and a serial run produce identical reports.
+a step, so a parallel run and a serial run produce identical reports. A
+sweep draw is seeded the same way, from (experiment seed, cell index, rep).
 
 Drawn graphs follow the law the runner observes: an LDP runner reads
 randomized-response output, which is CBM(sigma, p~, zeta~) exactly
@@ -54,23 +56,18 @@ from .detect import (
     ldp_step,
     ldp_stop,
 )
-from .ldp import PrivacyBudget, ldp_recovery_margin, perturb_graph, perturbed_params
-from .model import CbmParams, ChangeScenario, err, random_labels, sample_cbm, validate_labels
+from .ldp import PrivacyBudget, perturb_graph, perturbed_params
+from .model import ChangeScenario, err, random_labels, sample_cbm, validate_labels
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
+from .theory import theorem_boundary_a
 
 __all__ = [
     "ExperimentConfig",
     "SimReport",
-    "PhaseGrid",
     "run_delay_trials",
     "run_arl_trials",
     "run_trajectory",
-    "phase_grid",
-    "phase_grid_to_csv",
-    "recovery_comparison",
-    "recovery_comparison_eps",
-    "comparison_to_csv",
-    "theorem_boundary_a",
+    "one_shot_sweep",
     "make_runner",
 ]
 
@@ -488,112 +485,54 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     return rows
 
 
-def theorem_boundary_a(zeta, epsilon, n):
-    """Signal strength a where the one-shot recovery margin crosses zero.
+def one_shot_sweep(cells, reps, seed=0):
+    """Exact recovery from one perturbed graph per draw, for each (CbmParams, epsilon) cell.
 
-    The margin a (sqrt(1-zeta) - sqrt(zeta))^2 - rhs(eps, n) is linear in a,
-    so its root is -margin(0) over the slope.
+    A draw is seeded as a trial is: rep_seed = derive_seed(seed, TRIAL,
+    cell index, rep); labels, then the raw graph, come from its SAMPLE
+    stream, randomized response from its PERTURB stream, and both the SDP
+    and the spectral estimator run on the perturbed graph with the seed
+    derive_seed(rep_seed, SOLVER). So a row depends on its own cell and its
+    place in cells, never on the other cells.
+
+    One row per cell: n, p, zeta, epsilon, reps, each estimator's mean error
+    as a fraction of n (sdp_err, spectral_err) and exact-recovery rate
+    (sdp_exact, spectral_exact), the theorem's boundary_a, and
+    eps_at_least_log_n, whether epsilon lies in the regime where that
+    boundary is a prediction.
     """
-    margin_at_zero = ldp_recovery_margin(0.0, zeta, epsilon, n)[0]
-    return -margin_at_zero / (math.sqrt(1.0 - zeta) - math.sqrt(zeta)) ** 2
-
-
-@dataclass
-class PhaseGrid:
-    """Exact-recovery rates over (a, zeta) with the predicted boundary."""
-
-    a_values: list
-    zeta_values: list
-    epsilon: float
-    n: int
-    rates: np.ndarray  # shape (len(a_values), len(zeta_values))
-    boundary: list  # boundary a per zeta
-
-
-def _one_shot(params, epsilon, child):
-    """(planted labels, perturbed graph): one seeded draw for the one-shot sweeps."""
-    labels = random_labels(params.n, generator(child, 0))
-    raw = sample_cbm(params, labels, derive_seed(child, 1))
-    return labels, perturb_graph(raw, epsilon, derive_seed(child, 2))
-
-
-def phase_grid(a_values, zeta_values, epsilon, n, trials, estimator="sdp", seed=0):
-    """One-shot recovery rate from a single perturbed graph per cell (estimator sdp | spectral)."""
-    a_values = list(a_values)
-    zeta_values = list(zeta_values)
-    if not a_values or not zeta_values:
-        raise ValueError("both grids must be nonempty")
-    if estimator not in ("sdp", "spectral"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    solve = sdp_estimate if estimator == "sdp" else spectral_estimate
-    rates = np.zeros((len(a_values), len(zeta_values)))
-    for ai, a in enumerate(a_values):
-        for zi, zeta in enumerate(zeta_values):
-            params = CbmParams.from_scale(n, a, zeta)
-            hits = 0
-            for rep in range(trials):
-                child = derive_seed(seed, 11, zi, ai, rep)
-                labels, fed = _one_shot(params, epsilon, child)
-                est = solve(fed, seed=derive_seed(child, 3)).labels
-                hits += err(est, labels) == 0
-            rates[ai, zi] = hits / trials
-    boundary = [theorem_boundary_a(zeta, epsilon, n) for zeta in zeta_values]
-    return PhaseGrid(a_values, zeta_values, epsilon, n, rates, boundary)
-
-
-def phase_grid_to_csv(grid, path):
-    with open(path, "w") as fh:
-        fh.write("a,zeta,exact_rate,boundary_a\n")
-        for ai, a in enumerate(grid.a_values):
-            for zi, zeta in enumerate(grid.zeta_values):
-                fh.write(f"{a:.10g},{zeta:.10g},{grid.rates[ai, zi]:.10g},{grid.boundary[zi]:.10g}\n")
-
-
-def _comparison_row(params, epsilon, reps, tag):
-    """Mean SDP and spectral error fractions over reps draws, both estimators on each."""
-    sdp_errs = []
-    spec_errs = []
-    for rep in range(reps):
-        child = derive_seed(*tag, rep)
-        labels, fed = _one_shot(params, epsilon, child)
-        sdp_errs.append(err(sdp_estimate(fed, seed=derive_seed(child, 3)).labels, labels) / params.n)
-        spec_errs.append(err(spectral_estimate(fed, seed=derive_seed(child, 4)).labels, labels) / params.n)
-    return {
-        "n": params.n,
-        "p": params.p,
-        "zeta": params.zeta,
-        "epsilon": epsilon,
-        "reps": reps,
-        "sdp_err": float(np.mean(sdp_errs)),
-        "spectral_err": float(np.mean(spec_errs)),
-        "gap": float(abs(np.mean(sdp_errs) - np.mean(spec_errs))),
-    }
-
-
-def recovery_comparison(n_values, p, zeta, epsilon, reps, seed=0):
-    """Paired error rates of the factored-SDP and spectral estimators.
-
-    Per rep both estimators see the same single perturbed graph; errors are
-    reported as fractions of n so sizes are comparable.
-    """
-    return [
-        _comparison_row(CbmParams(n=n, p=p, zeta=zeta), epsilon, reps, (seed, 12, ni))
-        for ni, n in enumerate(n_values)
-    ]
-
-
-def recovery_comparison_eps(eps_values, n, p, zeta, reps, seed=0):
-    """Same paired comparison swept over the privacy level at fixed n."""
-    params = CbmParams(n=n, p=p, zeta=zeta)
-    return [
-        _comparison_row(params, epsilon, reps, (seed, 13, ei))
-        for ei, epsilon in enumerate(eps_values)
-    ]
-
-
-def comparison_to_csv(rows, path):
-    cols = ["n", "p", "zeta", "epsilon", "reps", "sdp_err", "spectral_err", "gap"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[c]:.10g}" for c in cols) + "\n")
+    cells = list(cells)
+    if not cells:
+        raise ValueError("need at least one cell")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    # computed before any draw, so a bad epsilon in any cell fails at once
+    boundaries = [theorem_boundary_a(params.zeta, epsilon, params.n) for params, epsilon in cells]
+    rows = []
+    for index, ((params, epsilon), boundary) in enumerate(zip(cells, boundaries)):
+        sdp, spectral = [], []
+        for rep in range(reps):
+            rep_seed = derive_seed(seed, TRIAL, index, rep)
+            rng = generator(rep_seed, SAMPLE)
+            labels = random_labels(params.n, rng)
+            raw = sample_cbm(params, labels, rng)
+            fed = perturb_graph(raw, epsilon, generator(rep_seed, PERTURB))
+            solver_seed = derive_seed(rep_seed, SOLVER)
+            sdp.append(err(sdp_estimate(fed, seed=solver_seed).labels, labels))
+            spectral.append(err(spectral_estimate(fed, seed=solver_seed).labels, labels))
+        rows.append(
+            {
+                "n": params.n,
+                "p": params.p,
+                "zeta": params.zeta,
+                "epsilon": epsilon,
+                "reps": reps,
+                "sdp_err": sum(sdp) / (reps * params.n),
+                "spectral_err": sum(spectral) / (reps * params.n),
+                "sdp_exact": sdp.count(0) / reps,
+                "spectral_exact": spectral.count(0) / reps,
+                "boundary_a": boundary,
+                "eps_at_least_log_n": epsilon >= math.log(params.n),
+            }
+        )
+    return rows

@@ -1,4 +1,4 @@
-"""File formats: graph and stream CSV, trajectory CSV, experiment JSON.
+"""File formats: graph and stream CSV, trajectory and sweep CSV, experiment JSON.
 
 Graph files: first line `n=<nodes>`, then one `i,j,w` row per revealed pair
 with 0-based i < j and w in {-1, +1}; absent pairs are 0. A stream file is a
@@ -159,6 +159,23 @@ def write_trajectory_csv(rows, path):
                 f"{row['t']},{row['stat']:.12g},{noisy:.12g},"
                 f"{int(row['stopped'])},{row['hamming_est_vs_post']}\n"
             )
+
+
+def write_sweep_csv(rows, path):
+    """One line per `harness.one_shot_sweep` row, under a header of its keys.
+
+    Columns: n, p, zeta, epsilon, reps, sdp_err, spectral_err, sdp_exact,
+    spectral_exact, boundary_a, eps_at_least_log_n. Numbers are written to
+    10 significant digits and the flag as 0 or 1.
+    """
+    cols = (
+        "n", "p", "zeta", "epsilon", "reps", "sdp_err", "spectral_err",
+        "sdp_exact", "spectral_exact", "boundary_a", "eps_at_least_log_n",
+    )
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{row[c]:.10g}" for c in cols) + "\n")
 
 
 def labels_from_config(value, n=None, base=None):

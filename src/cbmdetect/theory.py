@@ -216,6 +216,16 @@ def subsampled_stability_rhs(n, epsilon):
     return max(32.0 * math.log(n) / epsilon, 1.0)
 
 
+def theorem_boundary_a(zeta, epsilon, n):
+    """Signal strength a where the one-shot recovery margin crosses zero.
+
+    The margin a (sqrt(1-zeta) - sqrt(zeta))^2 - rhs(eps, n) is linear in a,
+    so its root is -margin(0) over the slope.
+    """
+    margin_at_zero = ldp_recovery_margin(0.0, zeta, epsilon, n)[0]
+    return -margin_at_zero / (math.sqrt(1.0 - zeta) - math.sqrt(zeta)) ** 2
+
+
 def recovery_thresholds(a, zeta, epsilon, n):
     """Threshold reports for the three recovery mechanisms at (a, zeta, eps, n).
 

@@ -26,11 +26,9 @@ from cbmdetect.detect import (
 )
 from cbmdetect.harness import (
     ExperimentConfig,
-    phase_grid,
-    recovery_comparison,
+    one_shot_sweep,
     run_arl_trials,
     run_delay_trials,
-    theorem_boundary_a,
 )
 from cbmdetect.ldp import ldp_threshold_rhs, perturb_graph, perturbed_params
 from cbmdetect.likelihood import kl_divergence, log_likelihood, log_likelihood_ratio
@@ -44,7 +42,9 @@ from cbmdetect.model import (
     sample_cbm,
 )
 from cbmdetect.recovery import ml_exhaustive, sdp_estimate
-from cbmdetect.theory import arl_lower_cdp, info_numbers, ldp_kl_upper, min_window
+from cbmdetect.theory import (
+    arl_lower_cdp, info_numbers, ldp_kl_upper, min_window, theorem_boundary_a,
+)
 
 PRE = np.array([1] * 25 + [-1] * 25, dtype=np.int8)
 POST = PRE.copy()
@@ -161,11 +161,8 @@ def test_criterion_05_one_shot_phase_transition():
     start = time.monotonic()
     epsilon = math.log(50.0)
     boundary = theorem_boundary_a(0.1, epsilon, 50)
-    grid = phase_grid(
-        [0.5 * boundary, 1.5 * boundary], [0.1], epsilon, 50,
-        trials=50, estimator="sdp", seed=555,
-    )
-    below, above = float(grid.rates[0, 0]), float(grid.rates[1, 0])
+    cells = [(CbmParams.from_scale(50, x * boundary, 0.1), epsilon) for x in (0.5, 1.5)]
+    below, above = (row["sdp_exact"] for row in one_shot_sweep(cells, reps=50, seed=555))
     assert above >= 0.9, f"rate {above} at 1.5x boundary"
     assert below <= 0.5, f"rate {below} at 0.5x boundary"
     assert time.monotonic() - start < 600.0
@@ -175,7 +172,8 @@ def test_criterion_06_sdp_spectral_parity():
     """Mean normalized recovery error of the relaxation and the spectral
     method agree within 0.05 at every n in {20, 30, 40, 50}."""
     start = time.monotonic()
-    rows = recovery_comparison([20, 30, 40, 50], 0.8, 0.1, 1.5, reps=50, seed=6)
+    cells = [(CbmParams(n=n, p=0.8, zeta=0.1), 1.5) for n in (20, 30, 40, 50)]
+    rows = one_shot_sweep(cells, reps=50, seed=6)
     assert [row["n"] for row in rows] == [20, 30, 40, 50]
     for row in rows:
         assert abs(row["sdp_err"] - row["spectral_err"]) <= 0.05, row

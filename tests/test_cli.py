@@ -6,8 +6,9 @@ import pytest
 
 from cbmdetect import cli
 from cbmdetect.cli import VERB_MAP, build_parser, main
-from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv
-from cbmdetect.model import TernaryGraph, pair_indices, parse_labels
+from cbmdetect.harness import one_shot_sweep
+from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv, write_sweep_csv
+from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, parse_labels
 from cbmdetect.theory import info_numbers
 
 POST_CONFIG = {
@@ -44,7 +45,7 @@ def _post_stream(tmp_path, n=6, count=3):
 
 def test_verbs_registered():
     assert set(VERB_MAP) == {
-        "generate", "perturb", "recover", "detect", "simulate", "threshold", "ingest",
+        "generate", "perturb", "recover", "detect", "simulate", "sweep", "threshold", "ingest",
     }
 
 
@@ -76,6 +77,65 @@ def test_generate_flag_validation(tmp_path, capsys):
     assert main(base + ["--a", "2", "--p", "0.5"]) == 2
     assert main(base + ["--p", "0.5", "--labels", "++-"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+SWEEP_HEADER = (
+    "n,p,zeta,epsilon,reps,sdp_err,spectral_err,sdp_exact,spectral_exact,"
+    "boundary_a,eps_at_least_log_n"
+)
+
+
+@pytest.mark.parametrize(
+    "grid, cells",
+    [
+        (["--n", "10", "--a", "1", "4", "--zeta", "0.1", "--eps", "2"], 2),
+        (["--n", "8", "12", "--p", "0.8", "--zeta", "0.1", "--eps", "2"], 2),
+        (["--n", "10", "--p", "0.8", "--zeta", "0.1", "--eps", "0.5", "2"], 2),
+    ],
+    ids=["a", "n", "eps"],
+)
+def test_sweep_writes_one_row_per_cell(tmp_path, capsys, grid, cells):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *grid, "--reps", "2", "--seed", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == SWEEP_HEADER
+    assert len(lines) == 1 + cells
+    assert capsys.readouterr().out == f"wrote {out}: rows={cells}\n"
+
+
+def test_sweep_rows_follow_the_flag_product(tmp_path):
+    out, expected = tmp_path / "sweep.csv", tmp_path / "expected.csv"
+    argv = ["sweep", "--n", "8", "10", "--a", "2", "--zeta", "0.1", "0.2", "--eps-log-n",
+            "--reps", "2", "--seed", "5", "--out", str(out)]
+    assert main(argv) == 0
+    cells = [
+        (CbmParams.from_scale(n, 2.0, zeta), math.log(n))
+        for n in (8, 10) for zeta in (0.1, 0.2)
+    ]
+    write_sweep_csv(one_shot_sweep(cells, reps=2, seed=5), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_sweep_reruns_byte_identical(tmp_path):
+    args = ["sweep", "--n", "10", "--p", "0.8", "--zeta", "0.1", "--eps", "1", "3",
+            "--reps", "3", "--seed", "9"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(out1)]) == 0
+    assert main(args + ["--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_flag_validation(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    base = ["sweep", "--zeta", "0.1", "--seed", "1", "--out", str(out)]
+    assert main(base + ["--n", "8", "--a", "2", "--p", "0.5", "--eps", "1"]) == 2
+    assert main(base + ["--n", "8", "--p", "0.5"]) == 2  # neither eps flag
+    assert main(base + ["--n", "8", "--p", "0.5", "--eps", "1", "--eps-log-n"]) == 2
+    assert main(base + ["--n", "8", "--p", "0.5", "--eps", "1", "--reps", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(base + ["--n", "10.7", "--p", "0.5", "--eps", "1"]) == 2
+    assert "invalid int value: '10.7'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_generate_perturb_recover(tmp_path, capsys):

@@ -12,23 +12,22 @@ import pytest
 
 import cbmdetect
 from cbmdetect import detect, harness
-from cbmdetect._rng import PERTURB, SOLVER, TRIAL, derive_seed, generator
+from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, TRIAL, derive_seed, generator
 from cbmdetect.detect import DetectorConfig, init_detector, ldp_step
 from cbmdetect.harness import (
     ExperimentConfig,
     make_runner,
-    phase_grid,
-    phase_grid_to_csv,
-    recovery_comparison,
-    recovery_comparison_eps,
-    comparison_to_csv,
+    one_shot_sweep,
     run_arl_trials,
     run_delay_trials,
     run_trajectory,
-    theorem_boundary_a,
 )
-from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs, perturb_graph, perturbed_params
-from cbmdetect.model import CbmParams, ChangeScenario, TernaryGraph, pair_indices, sample_cbm
+from cbmdetect.ldp import perturb_graph, perturbed_params
+from cbmdetect.model import (
+    CbmParams, ChangeScenario, TernaryGraph, err, pair_indices, random_labels, sample_cbm,
+)
+from cbmdetect.recovery import sdp_estimate, spectral_estimate
+from cbmdetect.theory import theorem_boundary_a
 
 
 def _scenario(n=6, p=0.8, zeta=0.1, nu=1, flips=(0,)):
@@ -449,56 +448,62 @@ def test_drawn_ldp_campaign_samples_once_per_step(monkeypatch):
     assert calls == {"sample_cbm": sum(r["samples"] for r in report.rows), "perturb_graph": 0}
 
 
-def test_theorem_boundary_matches_margin_root():
-    a_star = theorem_boundary_a(0.1, math.log(50), 50)
-    np.testing.assert_allclose(a_star, 3.0306372644940502, atol=1e-5)
-    for zeta, eps, n in ((0.1, math.log(50), 50), (0.01, 0.3, 7), (0.3, 5.0, 1000), (0.45, 1.5, 2)):
-        a_star = theorem_boundary_a(zeta, eps, n)
-        margin, _ = ldp_recovery_margin(a_star, zeta, eps, n)
-        assert abs(margin) <= 1e-12 * ldp_threshold_rhs(eps, n)
-    for zeta, eps, n in ((0.0, 1.0, 50), (0.5, 1.0, 50), (0.1, 0.0, 50), (0.1, 1.0, 1)):
-        with pytest.raises(ValueError):
-            theorem_boundary_a(zeta, eps, n)
+SWEEP_CELLS = [
+    (CbmParams(n=8, p=0.8, zeta=0.1), 2.0),
+    (CbmParams.from_scale(12, 4.0, 0.05), math.log(12)),
+    (CbmParams(n=10, p=0.8, zeta=0.2), 0.5),
+]
 
 
-def test_phase_grid_shape_and_csv(tmp_path):
-    grid = phase_grid(
-        [1.0, 4.0], [0.05, 0.1, 0.2], epsilon=2.0, n=12, trials=2,
-        estimator="spectral", seed=1,
-    )
-    assert grid.rates.shape == (2, 3)
-    assert ((grid.rates >= 0.0) & (grid.rates <= 1.0)).all()
-    assert len(grid.boundary) == 3
-    path = tmp_path / "grid.csv"
-    phase_grid_to_csv(grid, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "a,zeta,exact_rate,boundary_a"
-    assert len(lines) == 7
-    with pytest.raises(ValueError):
-        phase_grid([], [0.1], epsilon=2.0, n=12, trials=2)
-    with pytest.raises(ValueError, match="spektral"):
-        phase_grid([1.0], [0.1], epsilon=2.0, n=12, trials=1, estimator="spektral")
+def test_one_shot_sweep_rows():
+    rows = one_shot_sweep(SWEEP_CELLS, reps=3, seed=4)
+    assert len(rows) == len(SWEEP_CELLS)
+    for row, (params, eps) in zip(rows, SWEEP_CELLS):
+        assert (row["n"], row["p"], row["zeta"], row["epsilon"], row["reps"]) == (
+            params.n, params.p, params.zeta, eps, 3,
+        )
+        for key in ("sdp_err", "spectral_err"):
+            assert 0.0 <= row[key] <= 0.5
+        for key in ("sdp_exact", "spectral_exact"):
+            assert row[key] in (0.0, 1 / 3, 2 / 3, 1.0)
+        assert row["boundary_a"] == theorem_boundary_a(params.zeta, eps, params.n)
+    assert [row["eps_at_least_log_n"] for row in rows] == [False, True, False]
+    assert one_shot_sweep(SWEEP_CELLS, reps=3, seed=4) == rows
 
 
-def test_recovery_comparison_rows(tmp_path):
-    rows = recovery_comparison([8, 10], p=0.8, zeta=0.1, epsilon=2.0, reps=2, seed=4)
-    assert [r["n"] for r in rows] == [8, 10]
-    for row in rows:
-        assert set(row) == {"n", "p", "zeta", "epsilon", "reps", "sdp_err", "spectral_err", "gap"}
-        np.testing.assert_allclose(row["gap"], abs(row["sdp_err"] - row["spectral_err"]))
-    again = recovery_comparison([8, 10], p=0.8, zeta=0.1, epsilon=2.0, reps=2, seed=4)
-    assert rows == again
-    path = tmp_path / "cmp.csv"
-    comparison_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,p,zeta,epsilon,reps,sdp_err,spectral_err,gap"
-    assert len(lines) == 3
+def test_one_shot_sweep_follows_the_documented_streams():
+    """A row replays from its cell's streams by hand; a prefix of cells gives a prefix of rows."""
+    reps, seed, index = 3, 4, 2
+    rows = one_shot_sweep(SWEEP_CELLS, reps=reps, seed=seed)
+    params, eps = SWEEP_CELLS[index]
+    sdp, spectral = [], []
+    for rep in range(reps):
+        rep_seed = derive_seed(seed, TRIAL, index, rep)
+        rng = generator(rep_seed, SAMPLE)
+        labels = random_labels(params.n, rng)
+        fed = perturb_graph(sample_cbm(params, labels, rng), eps, generator(rep_seed, PERTURB))
+        solver_seed = derive_seed(rep_seed, SOLVER)
+        sdp.append(err(sdp_estimate(fed, seed=solver_seed).labels, labels))
+        spectral.append(err(spectral_estimate(fed, seed=solver_seed).labels, labels))
+    assert sum(sdp) > 0 and sum(spectral) > 0  # the cell is hard enough to tell streams apart
+    row = rows[index]
+    assert row["sdp_err"] == sum(sdp) / (reps * params.n)
+    assert row["spectral_err"] == sum(spectral) / (reps * params.n)
+    assert row["sdp_exact"] == sdp.count(0) / reps
+    assert row["spectral_exact"] == spectral.count(0) / reps
+    assert one_shot_sweep(SWEEP_CELLS[:2], reps=reps, seed=seed) == rows[:2]
 
 
-def test_recovery_comparison_eps_sweep():
-    rows = recovery_comparison_eps([0.5, 4.0], n=10, p=0.8, zeta=0.1, reps=2, seed=4)
-    assert [r["epsilon"] for r in rows] == [0.5, 4.0]
-    assert all(r["n"] == 10 for r in rows)
+def test_one_shot_sweep_rejects_bad_input(monkeypatch):
+    cell = SWEEP_CELLS[0]
+    with pytest.raises(ValueError, match="reps"):
+        one_shot_sweep([cell], reps=0)
+    with pytest.raises(ValueError, match="cell"):
+        one_shot_sweep([], reps=2)
+    # a bad epsilon in a later cell is refused before the first cell draws
+    monkeypatch.setattr(harness, "sample_cbm", lambda *args: pytest.fail("drew a graph"))
+    with pytest.raises(ValueError, match="epsilon"):
+        one_shot_sweep([cell, (cell[0], 0.0)], reps=1)
 
 
 def _force_prefetch(monkeypatch, on):

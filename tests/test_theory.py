@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cbmdetect.likelihood import kl_divergence
-from cbmdetect.ldp import perturbed_params
+from cbmdetect.ldp import ldp_recovery_margin, ldp_threshold_rhs, perturbed_params
 from cbmdetect.model import CbmParams
 from cbmdetect.theory import (
     BoundReport,
@@ -21,6 +21,7 @@ from cbmdetect.theory import (
     min_window,
     min_window_terms,
     recovery_thresholds,
+    theorem_boundary_a,
     wadd_prediction,
     window_crossover_epsilon,
 )
@@ -209,3 +210,15 @@ def test_bound_report_json_round_trip():
     assert payload["name"] == report.name
     assert payload["value"] == report.value
     assert payload["inputs"]["n"] == 50
+
+
+def test_theorem_boundary_matches_margin_root():
+    a_star = theorem_boundary_a(0.1, math.log(50), 50)
+    np.testing.assert_allclose(a_star, 3.0306372644940502, atol=1e-5)
+    for zeta, eps, n in ((0.1, math.log(50), 50), (0.01, 0.3, 7), (0.3, 5.0, 1000), (0.45, 1.5, 2)):
+        a_star = theorem_boundary_a(zeta, eps, n)
+        margin, _ = ldp_recovery_margin(a_star, zeta, eps, n)
+        assert abs(margin) <= 1e-12 * ldp_threshold_rhs(eps, n)
+    for zeta, eps, n in ((0.0, 1.0, 50), (0.5, 1.0, 50), (0.1, 0.0, 50), (0.1, 1.0, 1)):
+        with pytest.raises(ValueError):
+            theorem_boundary_a(zeta, eps, n)
