@@ -208,15 +208,18 @@ class TernaryGraph:
     def dense(self):
         """Full symmetric float64 matrix (cached, read-only).
 
-        Built in int8 (upper triangle scattered through the mask, plus its
-        transpose) and cast to float64 once.
+        The one n x n allocation: the upper triangle is scattered into a
+        zero float64 matrix through the mask, and again through the same
+        mask into its transpose, which fills the lower triangle. No n x n
+        temporary is made.
         """
         if self._dense is None:
-            a = np.zeros((self.n, self.n), dtype=np.int8)
-            a[_upper_mask(self.n)] = self.upper
-            a = (a + a.T).astype(np.float64)
-            a.flags.writeable = False
-            self._dense = a
+            mask = _upper_mask(self.n)
+            m = np.zeros((self.n, self.n))
+            m[mask] = self.upper
+            m.T[mask] = self.upper
+            m.flags.writeable = False
+            self._dense = m
         return self._dense
 
     @property
@@ -257,12 +260,16 @@ def _raw_uniforms(rng, size):
     return (rng.random(size) * 2.0**64).astype(np.uint64)
 
 
-def _below(words, x):
-    """int8 mask of (w >> 11) 2^-53 < x, for x in [0, 1], as w < ceil(x 2^53) 2^11."""
+def _below(words, x, out=None):
+    """Bool mask (into out, if given) of (w >> 11) 2^-53 < x, x in [0, 1]: w < ceil(x 2^53) 2^11."""
+    if out is None:
+        out = np.empty(words.shape, dtype=bool)
     k = math.ceil(x * 2.0**53)
     if k >= 1 << 53:  # 2^64 does not fit a uint64, and every uniform is below 1
-        return np.ones(words.shape, dtype=np.int8)
-    return (words < np.uint64(k << 11)).view(np.int8)
+        out[...] = True
+    else:
+        np.less(words, np.uint64(k << 11), out=out)
+    return out
 
 
 @functools.lru_cache(maxsize=8)
@@ -274,27 +281,38 @@ def _label_products(key):
     return prod
 
 
+SAMPLE_BLOCK = 1 << 14  # raw words sample_cbm reads and decides at a time
+
+
 def sample_cbm(params, labels, seed):
     """Draw one graph: reveal each pair w.p. p, flip its sign w.p. zeta.
 
-    The upper triangle is drawn in one vectorized pass in row-major pair
-    order, taking the n(n-1)/2 uniforms rng.random(n(n-1)/2) would take, and
-    leaving rng where that call would. Each uniform is the top 53 bits of one
-    raw 64-bit output (Philox, PCG64, PCG64DXSM, SFC64); u < x is decided in
-    integers as raw < ceil(x 2^53) 2^11, which is exact. Any other bit
-    generator (MT19937, say) goes through random() itself; the graph is the
-    same either way. seed is an int, read as the stream generator(seed,
-    SAMPLE), so a fixed (params, labels, seed) triple is fully reproducible;
-    or a np.random.Generator, which the draw advances, so one generator can
-    feed a sequence of graphs in order. params is read only for n, p and
-    zeta.
+    The upper triangle is drawn in row-major pair order, taking the
+    n(n-1)/2 uniforms rng.random(n(n-1)/2) would take, and leaving rng where
+    that call would. Each uniform is the top 53 bits of one raw 64-bit
+    output (Philox, PCG64, PCG64DXSM, SFC64); u < x is decided in integers
+    as raw < ceil(x 2^53) 2^11, which is exact. Any other bit generator
+    (MT19937, say) goes through random() itself; the graph is the same
+    either way. The words are read SAMPLE_BLOCK at a time, in order, and
+    decided straight into the int8 output, so a draw's scratch stays a few
+    hundred kilobytes whatever n is. seed is an int, read as the stream
+    generator(seed, SAMPLE), so a fixed (params, labels, seed) triple is
+    fully reproducible; or a np.random.Generator, which the draw advances,
+    so one generator can feed a sequence of graphs in order. params is read
+    only for n, p and zeta.
     """
     labels = validate_labels(labels, params.n)
-    words = _raw_uniforms(stream(seed, SAMPLE), n_pairs(params.n))
-    # 2 [u < p(1 - zeta)] - [u < p]: +1 keeps the label product, -1 flips it, 0 hides the pair
-    sign = _below(words, params.p * (1.0 - params.zeta))
-    sign += sign
-    sign -= _below(words, params.p)
+    rng = stream(seed, SAMPLE)
+    size = n_pairs(params.n)
+    sign = np.empty(size, dtype=np.int8)
+    shown = np.empty(min(size, SAMPLE_BLOCK), dtype=bool)
+    for lo in range(0, size, SAMPLE_BLOCK):
+        words = _raw_uniforms(rng, min(SAMPLE_BLOCK, size - lo))
+        block = sign[lo : lo + len(words)]
+        # 2 [u < p(1 - zeta)] - [u < p]: +1 keeps the label product, -1 flips it, 0 hides the pair
+        _below(words, params.p * (1.0 - params.zeta), block.view(bool))
+        block += block
+        block -= _below(words, params.p, shown[: len(words)]).view(np.int8)
     sign *= _label_products(labels.tobytes())
     return TernaryGraph(params.n, sign)
 

@@ -21,12 +21,17 @@ a few squarings of M^2 (n <= SQUARING_MAX_N), then one linear solve at
 eigvalsh's lambda_1; `eigh` decides where none is proved. Above
 EIGH_MAX_N they come from Lanczos, started from a seeded Gaussian or, given
 a `start` such as a detector's running estimate, from it plus a hundredth
-of that Gaussian. Seeded starts are drawn once per (seed, purpose index,
-shape) and cached read-only, as a detector passes one solver seed at every
-step. Each status says whether its solver met its bound. All return
-canonical labels (first entry +1). The solvers' settings are the module
-constants GAP_TOL, MAX_ITERS, MOMENTUM, EIGH_MAX_N, RITZ_TOL,
-SQUARING_MAX_N, SIGN_TRIES and SIGN_GAP.
+of that Gaussian. Lanczos runs in two phases: on an exact float32 copy of
+M to the residual float32 can reach, then on M itself in float64 from that
+vector to RITZ_TOL, so its status is a float64 bound. Its basis grows with
+the steps taken; no call allocates a fresh n x n float64 array. The proofs
+bound float64 rounding and refuse any other dtype. Seeded starts are drawn
+once per (seed, purpose index, shape) and cached read-only, as a detector
+passes one solver seed at every step. Each status says whether its solver
+met its bound. All return canonical labels (first entry +1). The solvers'
+settings are the module constants GAP_EVERY, GAP_TOL, MAX_ITERS, MOMENTUM,
+EIGH_MAX_N, RITZ_TOL, RITZ_EVERY, RITZ_TOL32, F32_STEPS_DIVISOR,
+LANCZOS_BLOCK, SQUARING_MAX_N, SIGN_TRIES and SIGN_GAP.
 """
 
 import functools
@@ -46,7 +51,8 @@ class RecoveryResult:
     objective: float
     status: str  # converged | max_iters | degenerate
     # solver steps: SDP ascent steps (up to the check that certified it, or
-    # MAX_ITERS), or Lanczos; 0 for the dense spectral path and ML
+    # MAX_ITERS), or Lanczos steps of both phases; 0 for the dense spectral
+    # path and ML
     iterations: int = 0
 
 
@@ -145,6 +151,13 @@ EPS = np.finfo(np.float64).eps
 ETA = 2.0**-1074  # the smallest subnormal
 
 
+def _float64_only(*arrays):
+    """Raise ValueError unless every array is float64, the rounding EPS and ETA bound."""
+    for a in arrays:
+        if a.dtype != EPS.dtype:
+            raise ValueError("the proofs bound float64 rounding; cast the input to float64")
+
+
 def _proves_psd(b, err):
     """True only if every symmetric T with ||T - b||_2 <= err is proved PSD.
 
@@ -166,8 +179,9 @@ def _proves_psd(b, err):
     so T = (B + E) + (s I - E + (b - s I - B) - (b - T)) is PSD. The eta
     term is Rump's allowance for underflow, doubled like err, with t for
     his max_i |b_ii|. A zero b never passes, nor does one with a NaN or an
-    infinite entry.
+    infinite entry. b must be float64 (ValueError otherwise).
     """
+    _float64_only(b)
     n = len(b)
     t = np.abs(b.diagonal()).sum()
     b.flat[:: n + 1] -= 2.0 * err + (n + 2) * EPS * t + 8 * (n + 1) * (2 * (n + 1) + t) * ETA
@@ -189,7 +203,9 @@ def _certifies(m, dual, f, bar):
     proves Diag(mu - e + dual) - M PSD from its rounded Diag(mu + dual) - M,
     whose two rounded additions on the diagonal are each within u of their
     sum: err = e + eps (|mu| + S). A mu that is not finite is no proof.
+    m and dual must be float64 (ValueError otherwise).
     """
+    _float64_only(m, dual)
     n = len(m)
     scale = np.abs(dual).sum() + np.abs(np.diagonal(m)).sum()
     mu = (bar + f - dual.sum()) / n
@@ -261,6 +277,9 @@ EIGH_MAX_N = 128  # largest n whose top eigenvector is found densely; Lanczos ab
 # Ritz residual bound, relative to max(1, |theta|); also the dense path's shift past theta
 RITZ_TOL = 1e-10
 RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
+RITZ_TOL32 = 1e-6  # the float32 Lanczos phase's Ritz residual bound, relative as RITZ_TOL
+F32_STEPS_DIVISOR = 4  # the float32 phase takes at most n // F32_STEPS_DIVISOR steps
+LANCZOS_BLOCK = 32  # Lanczos basis rows allocated first; the basis doubles as it fills
 SQUARING_MAX_N = 96  # largest n whose signs come from squaring first; eigvalsh first above it
 SIGN_TRIES = (3, 5, 7)  # squarings of M^2 after which the sign proof is tried
 SIGN_GAP = 0.05  # a try factors only if the gap it must prove is below this share of tau
@@ -293,8 +312,9 @@ def _sign_proof(m, x, norm_m):
     the gap it must prove is below SIGN_GAP tau; a larger one rarely holds.
     As SIGN_GAP < 1/2, mu > tau / 2, so tau - mu is exact (Sterbenz), and
     the eighth of room above the least gap covers the rounding of mu and of
-    the comparison.
+    the comparison. m and x must be float64 (ValueError otherwise).
     """
+    _float64_only(m, x)
     n = len(m)
     mx = m @ x
     tau = x @ mx
@@ -366,41 +386,66 @@ def _dense_top_eigenvector(m):
     return np.linalg.eigh(m)[1][:, -1]
 
 
-def _top_eigenvector(m, start):
-    """(x, converged, steps): unit top eigenvector of symmetric m by Lanczos.
+def _lanczos(m, start, tol, steps):
+    """(x, converged, k): unit top Ritz vector of symmetric m after k <= steps Lanczos steps.
 
-    Lanczos on m itself from `start`, each new basis vector orthogonalized
-    twice against all earlier ones (full reorthogonalization; Saad, Numerical
-    Methods for Large Eigenvalue Problems, ch. 6). Every RITZ_EVERY steps the
-    top Ritz pair of the tridiagonal is formed and returned once its residual
-    beta_k |s_k| is at most RITZ_TOL * max(1, |theta|), or when k = n.
-    `converged` says whether the bound held; steps (matvecs) is at most n.
+    Lanczos on m itself from `start`, in m's dtype, each new basis vector
+    orthogonalized twice against all earlier ones (full
+    reorthogonalization; Saad, Numerical Methods for Large Eigenvalue
+    Problems, ch. 6). The basis is allocated LANCZOS_BLOCK rows at a time,
+    doubling as it fills, so a call that stops early never touches an
+    n x n array. Every RITZ_EVERY steps the top Ritz pair of the
+    tridiagonal is formed in float64 and returned once its residual
+    beta_k |s_k| is at most tol * max(1, |theta|), or when k = steps.
+    `converged` says whether the bound held.
     """
     n = len(start)
-    basis = np.empty((n, n))
-    alpha = np.empty(n)
-    beta = np.empty(n)
-    q = start / np.linalg.norm(start)
-    for k in range(n):
+    basis = np.empty((min(steps, LANCZOS_BLOCK), n), dtype=m.dtype)
+    alpha = np.empty(steps)
+    beta = np.empty(steps)
+    q = (start / np.linalg.norm(start)).astype(m.dtype)
+    for k in range(steps):
+        if k == len(basis):
+            basis = np.concatenate([basis, np.empty((min(k, steps - k), n), dtype=m.dtype)])
         basis[k] = q
         w = m @ q
-        alpha[k] = q @ w
-        w -= alpha[k] * q
+        # Python floats keep float32 arithmetic in float32
+        a = alpha[k] = float(q @ w)
+        w -= a * q
         if k:
-            w -= beta[k - 1] * basis[k - 1]
+            w -= float(beta[k - 1]) * basis[k - 1]
         for _ in range(2):
             w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        beta[k] = np.linalg.norm(w)
-        # beta_k <= RITZ_TOL meets the residual bound whatever s_k is, so
+        b = beta[k] = float(np.linalg.norm(w))
+        # beta_k <= tol meets the residual bound whatever s_k is, so
         # the Krylov space closing early always ends here
-        last = k + 1 == n
-        if last or beta[k] <= RITZ_TOL or (k + 1) % RITZ_EVERY == 0:
+        last = k + 1 == steps
+        if last or b <= tol or (k + 1) % RITZ_EVERY == 0:
             t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], 1) + np.diag(beta[:k], -1)
             theta, s = np.linalg.eigh(t)
-            converged = beta[k] * abs(s[-1, -1]) <= RITZ_TOL * max(1.0, abs(theta[-1]))
+            converged = b * abs(s[-1, -1]) <= tol * max(1.0, abs(theta[-1]))
             if converged or last:
-                return basis[: k + 1].T @ s[:, -1], bool(converged), k + 1
-        q = w / beta[k]
+                return basis[: k + 1].T @ s[:, -1].astype(m.dtype), bool(converged), k + 1
+        q = w / b
+
+
+def _top_eigenvector(m, start):
+    """(x, converged, steps): unit top eigenvector of symmetric float64 m by two Lanczos phases.
+
+    m's entries are small integers, so its float32 copy is exact, and a
+    float32 matvec moves half the bytes. Lanczos (_lanczos) runs on that
+    copy first, for at most n // F32_STEPS_DIVISOR steps, to the residual
+    RITZ_TOL32 that float32 rounding can reach; then on m in float64 from
+    that vector to RITZ_TOL, for at most the n - k steps left, so
+    `converged` is the float64 bound on m itself (mixed-precision
+    refinement; Higham & Mary, Acta Numerica 31, 2022). steps counts the
+    matvecs of both phases, at most n. For the n above EIGH_MAX_N that
+    spectral_estimate sends here: each phase then has 32 steps or more.
+    """
+    n = len(start)
+    x, _, head = _lanczos(m.astype(np.float32), start, RITZ_TOL32, n // F32_STEPS_DIVISOR)
+    x, converged, tail = _lanczos(m, x.astype(np.float64), RITZ_TOL, n - head)
+    return x, converged, head + tail
 
 
 def _signs(x):
@@ -466,9 +511,12 @@ def spectral_estimate(graphs, seed=0, start=None):
     eigenvalue), or of `np.linalg.eigh(M)` where none is proved (see
     _dense_top_eigenvector): status "converged" (LAPACK raises if it
     fails), iterations 0, and nothing is drawn. Above EIGH_MAX_N, Lanczos
-    runs on M from a seeded Gaussian start; status is "converged" when its
-    Ritz residual met the bound, "max_iters" when n steps did not meet it. A
-    zero M is flagged degenerate and yields random labels.
+    runs from a seeded Gaussian start, first on a float32 copy of M, then on
+    M in float64 from the float32 phase's vector (_top_eigenvector); status
+    is "converged" when the float64 Ritz residual met RITZ_TOL, "max_iters"
+    when the n steps of both phases did not meet it, and iterations counts
+    the steps of both. A zero M is flagged degenerate and yields random
+    labels.
 
     `start`, a nonzero finite vector of length n such as the previous
     estimate, is checked at every n but moves only the Lanczos start: to

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cbmdetect.model import (
+    SAMPLE_BLOCK,
     CbmParams,
     ChangeScenario,
     TernaryGraph,
@@ -264,6 +266,37 @@ def test_sample_cbm_from_a_generator_matches_the_per_pair_oracle(bit_generator, 
         # the draw leaves the generator where random(n_pairs) leaves it
         assert fast.random() == slow.random()
 
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+@pytest.mark.parametrize("n", [50, 300, 400])
+def test_blocked_draws_match_one_random_call(bit_generator, n):
+    # n = 50 is one partial block; 300 and 400 span several with a remainder
+    pairs = n_pairs(n)
+    assert pairs < SAMPLE_BLOCK if n == 50 else pairs > 2 * SAMPLE_BLOCK and pairs % SAMPLE_BLOCK
+    labels = np.random.default_rng(n).choice(np.array([-1, 1], dtype=np.int8), size=n)
+    params = CbmParams(n=n, p=0.3, zeta=0.1)
+    fast, slow = (np.random.Generator(bit_generator(11)) for _ in range(2))
+    for _ in range(2):  # the second draw starts mid-stream
+        g = sample_cbm(params, labels, fast)
+        assert np.array_equal(g.upper, oracles.sample_by_pairs(params, labels, slow).upper)
+        # and leaves the generator where random(n_pairs) leaves it
+        assert fast.random() == slow.random()
+
+
+def test_sample_cbm_peaks_below_two_bytes_per_pair():
+    # the int8 output is one byte per pair; raw words for the whole triangle would be eight
+    n = 1000
+    params = CbmParams.from_scale(n, 20.0, 0.1)
+    labels = np.array([1, -1] * (n // 2), dtype=np.int8)
+    sample_cbm(params, labels, seed=0)  # caches the mask and the label products
+    tracemalloc.start()
+    try:
+        sample_cbm(params, labels, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_pairs(n)
 
 @pytest.mark.parametrize("x", [0.0, 2.0**-53, 0.375, 0.1, 1.0 - 2.0**-53, 1.0, 5e-324])
 def test_below_is_the_uniform_comparison(x):

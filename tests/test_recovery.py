@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cbmdetect.model import (
 )
 from cbmdetect.recovery import (
     EIGH_MAX_N,
+    F32_STEPS_DIVISOR,
     GAP_TOL,
     MAX_ITERS,
     RITZ_TOL,
@@ -27,8 +29,12 @@ from cbmdetect.recovery import (
     _certifies,
     _dense_top_eigenvector,
     _extrapolate,
+    _lanczos,
     _power_step,
+    _proves_psd,
+    _sign_proof,
     _signs,
+    _solver_start,
     _top_eigenvector,
     ml_exhaustive,
     sdp_estimate,
@@ -388,7 +394,8 @@ def test_spectral_converges_to_eigh_signs(n, a, seed):
     else:
         assert 1 <= result.iterations <= n
     assert np.array_equal(result.labels, want)
-    x, converged, steps = _top_eigenvector(g.dense(), generator(0, SOLVER, 0).standard_normal(n))
+    start = generator(0, SOLVER, 0).standard_normal(n)
+    x, converged, steps = _lanczos(g.dense(), start, RITZ_TOL, n)
     assert converged
     assert 1 <= steps <= n
     assert np.array_equal(canonical(np.where(x < 0, -1, 1)), want)
@@ -412,7 +419,8 @@ def test_top_eigenvector_is_top_eigenpair(graph):
     m = graph.dense()
     if not m.any():
         return
-    x, converged, steps = _top_eigenvector(m, generator(0, SOLVER, 0).standard_normal(graph.n))
+    start = generator(0, SOLVER, 0).standard_normal(graph.n)
+    x, converged, steps = _lanczos(m, start, RITZ_TOL, graph.n)
     assert converged
     assert 1 <= steps <= graph.n
     np.testing.assert_allclose(np.linalg.norm(x), 1.0, rtol=1e-12)
@@ -632,6 +640,88 @@ def test_psd_proof_refuses_a_singular_laplacian():
         assert not recovery._proves_psd(lap.copy(), 1e-300)
         assert recovery._proves_psd(lap + 1e-9 * np.eye(30), 1e-12)
     assert plain > 0
+
+
+def test_proofs_refuse_anything_but_float64():
+    # their rounding bounds use float64's EPS; a float32 matrix would pass
+    # proofs that its own rounding could break
+    m = _perturbed_draw(50, 5.0, 0).dense()
+    x = _dense_top_eigenvector(m)
+    norm_m = 2.0 * np.linalg.norm(m)
+    assert _sign_proof(m, x, norm_m) is not None
+    # mu = 0.1 above lambda_max(M - Diag(dual)) = 0
+    dual = np.full(50, np.linalg.eigvalsh(m)[-1])
+    bar = dual.sum() + 5.0
+    assert _certifies(m, dual, 0.0, bar)
+    assert _proves_psd(np.eye(50), 0.0)
+    for dtype in (np.float32, np.float16, np.int64):
+        with pytest.raises(ValueError, match="float64"):
+            _sign_proof(m.astype(dtype), x, norm_m)
+        with pytest.raises(ValueError, match="float64"):
+            _sign_proof(m, x.astype(dtype), norm_m)
+        with pytest.raises(ValueError, match="float64"):
+            _certifies(m.astype(dtype), dual, 0.0, bar)
+        with pytest.raises(ValueError, match="float64"):
+            _certifies(m, dual.astype(dtype), 0.0, bar)
+        with pytest.raises(ValueError, match="float64"):
+            _proves_psd(np.eye(50, dtype=dtype), 0.0)
+
+
+# perturbed draws at the benchmark's n = 1000 and at n = 200, at a = 5 and 20
+TWO_PHASE_DRAWS = [(n, a, 0) for n in (200, 1000) for a in (5.0, 20.0)]
+
+
+@pytest.mark.parametrize("n, a, seed", TWO_PHASE_DRAWS)
+def test_two_phase_lanczos_meets_the_float64_bound(n, a, seed):
+    g = _perturbed_draw(n, a, seed)
+    m = g.dense()
+    result = spectral_estimate(g, seed=0)
+    assert result.status == "converged"
+    assert 1 <= result.iterations <= n
+    assert np.array_equal(result.labels, _eigh_signs(m))
+    x, converged, steps = _top_eigenvector(m, _solver_start(0, 0, (1, n))[0])
+    assert (converged, steps) == (True, result.iterations)
+    assert x.dtype == np.float64
+    assert np.array_equal(canonical(_signs(x)), result.labels)
+    x = x / np.linalg.norm(x)
+    theta = float(x @ m @ x)
+    assert np.linalg.norm(m @ x - theta * x) <= RITZ_TOL * max(1.0, abs(theta))
+
+
+def test_lanczos_runs_a_capped_float32_phase_then_a_float64_one(monkeypatch):
+    calls = []
+    lanczos = recovery._lanczos
+
+    def spy(m, start, tol, steps):
+        x, converged, k = lanczos(m, start, tol, steps)
+        calls.append((m.dtype, start.dtype, steps, k, x.dtype))
+        return x, converged, k
+
+    monkeypatch.setattr(recovery, "_lanczos", spy)
+    n = 1000
+    result = spectral_estimate(_perturbed_draw(n, 20.0, 1), seed=0)
+    (m32, _, cap, head, x32), (m64, s64, rest, tail, x64) = calls
+    assert (m32, x32) == (np.float32, np.float32)
+    assert (m64, s64, x64) == (np.float64, np.float64, np.float64)
+    assert cap == n // F32_STEPS_DIVISOR and 1 <= head <= cap
+    assert rest == n - head and 1 <= tail <= rest
+    assert result.iterations == head + tail
+
+
+def test_large_n_spectral_estimate_allocates_no_n_by_n_float64():
+    # a float64 Lanczos basis of n rows alone is 8 MB at n = 1000; the
+    # float32 copy of M is 4 MB and the bases grow with the steps taken.
+    # numpy reports its buffers to tracemalloc
+    g = _perturbed_draw(1000, 20.0, 0)
+    g.dense()
+    spectral_estimate(g, seed=0)  # caches the seeded start
+    tracemalloc.start()
+    try:
+        spectral_estimate(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6_000_000
 
 
 def test_spectral_zero_graph_degenerate():
