@@ -3,7 +3,11 @@
 Verbs: generate, perturb, recover, detect, simulate, sweep, threshold,
 ingest.
 Every stochastic verb requires --seed, and the same argv always produces
-byte-identical output files. Exit codes: 0 success, 1 statistical failure
+byte-identical output files. Each input is read by one rule: exactly one of
+a and p (flags or scenario config) by `io.params_from_config`; --eps or
+--eps-log-n (eps = ln n, n from --n or the scenario) by `_resolve_eps`; the
+detector descriptor, the config's with detect's and simulate's flags laid
+over it, by `harness.make_runner`. Exit codes: 0 success, 1 statistical failure
 (no alarm, degenerate estimate, fully censored campaign), 2 bad
 configuration or input.
 """
@@ -25,6 +29,7 @@ from .io import (
     ingest_stream,
     labels_from_config,
     load_experiment_json,
+    params_from_config,
     read_graph_csv,
     scenario_from_config,
     write_graph_csv,
@@ -32,7 +37,7 @@ from .io import (
     write_trajectory_csv,
 )
 from .ldp import ldp_threshold_rhs, perturb_graph
-from .model import CbmParams, format_labels
+from .model import format_labels
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 from .theory import (
     BoundReport,
@@ -46,30 +51,21 @@ from .theory import (
 _MODE_NAMES = {"ldp": "LDP", "cdp": "CDP", "ldp-adaptive": "LDP-adaptive"}
 
 
-def _resolve_eps(args, n=None):
-    log_n = getattr(args, "eps_log_n", False)
-    eps = getattr(args, "eps", None)
-    if log_n and eps is not None:
+def _resolve_eps(args, n):
+    """--eps as given, ln(n) under --eps-log-n, or None without either."""
+    if args.eps_log_n and args.eps is not None:
         raise ValueError("give --eps or --eps-log-n, not both")
-    if log_n:
+    if args.eps_log_n:
         if n is None:
             raise ValueError("--eps-log-n needs --n")
         return math.log(n)
-    return eps
-
-
-def _params_from_args(args):
-    if (args.a is None) == (args.p is None):
-        raise ValueError("give exactly one of --a or --p")
-    if args.a is not None:
-        return CbmParams.from_scale(args.n, args.a, args.zeta)
-    return CbmParams(n=args.n, p=args.p, zeta=args.zeta)
+    return args.eps
 
 
 def _cmd_generate(args):
     from .model import sample_cbm
 
-    params = _params_from_args(args)
+    params = params_from_config(args.n, args.zeta, args.a, args.p)
     labels = labels_from_config(args.labels, n=args.n)
     if labels.size != args.n:
         raise ValueError(f"labels have {labels.size} entries, expected n={args.n}")
@@ -90,16 +86,15 @@ def _cmd_perturb(args):
     return 0
 
 
+_ESTIMATORS = {
+    "sdp": sdp_estimate,
+    "spectral": spectral_estimate,
+    "ml": lambda graph, seed: ml_exhaustive(graph),
+}
+
+
 def _cmd_recover(args):
-    graph = read_graph_csv(args.infile)
-    if args.estimator == "sdp":
-        result = sdp_estimate(graph, seed=args.seed)
-    elif args.estimator == "spectral":
-        result = spectral_estimate(graph, seed=args.seed)
-    elif args.estimator == "ml":
-        result = ml_exhaustive(graph)
-    else:
-        raise ValueError(f"unknown estimator {args.estimator!r}")
+    result = _ESTIMATORS[args.estimator](read_graph_csv(args.infile), seed=args.seed)
     print(format_labels(result.labels))
     print(
         f"objective={result.objective:.10g} status={result.status} "
@@ -108,25 +103,20 @@ def _cmd_recover(args):
     return 1 if result.status == "degenerate" else 0
 
 
-def _detector_from_config(payload, args):
+def _detector_from_config(payload, args, n):
+    """The config's descriptor with each given flag in place of its key; make_runner checks it."""
     detector = dict(payload.get("detector", {}))
+    flags = {"b": args.b, "epsilon": _resolve_eps(args, n), "delta": args.delta, "window": args.w}
     if args.mode is not None:
-        detector["kind"] = _MODE_NAMES[args.mode.lower()]
-    for flag, key in (("b", "b"), ("eps", "epsilon"), ("delta", "delta"), ("w", "window")):
-        if getattr(args, flag) is not None:
-            detector[key] = getattr(args, flag)
-    if "kind" not in detector:
-        raise ValueError("detector kind missing: set it in the config or pass --mode")
-    for key in ("b", "epsilon"):
-        if key not in detector:
-            raise ValueError(f"detector {key!r} missing from config and flags")
+        flags["kind"] = _MODE_NAMES[args.mode.lower()]
+    detector.update((key, value) for key, value in flags.items() if value is not None)
     return detector
 
 
 def _cmd_detect(args):
     payload = load_experiment_json(args.config)
     scenario = scenario_from_config(payload["scenario"])
-    detector = _detector_from_config(payload, args)
+    detector = _detector_from_config(payload, args, scenario.params_pre.n)
     truncation = args.truncation if args.truncation is not None else payload.get("truncation", 200)
     stream = ingest_stream(args.stream) if args.stream else None
     rows = run_trajectory(scenario, detector, truncation, args.seed, stream=stream)
@@ -142,7 +132,7 @@ def _cmd_detect(args):
 def _cmd_simulate(args):
     payload = load_experiment_json(args.config)
     scenario = scenario_from_config(payload["scenario"])
-    detector = _detector_from_config(payload, args)
+    detector = _detector_from_config(payload, args, scenario.params_pre.n)
     cfg = ExperimentConfig(
         scenario=scenario,
         detector=detector,
@@ -177,14 +167,9 @@ def _cmd_simulate(args):
 
 
 def _cmd_sweep(args):
-    if (args.a is None) == (args.p is None):
-        raise ValueError("give exactly one of --a or --p")
     cells = []
-    for n, x, zeta in itertools.product(args.n, args.a or args.p, args.zeta):
-        if args.a is not None:
-            params = CbmParams.from_scale(n, x, zeta)
-        else:
-            params = CbmParams(n=n, p=x, zeta=zeta)
+    for n, a, p, zeta in itertools.product(args.n, args.a or [None], args.p or [None], args.zeta):
+        params = params_from_config(n, zeta, a, p)
         eps = _resolve_eps(args, n)
         if eps is None:
             raise ValueError("sweep needs --eps or --eps-log-n")
@@ -195,53 +180,37 @@ def _cmd_sweep(args):
     return 0
 
 
+# --thm -> (report name, the inputs the bound takes, in order, the bound)
+_BOUNDS = {
+    1: ("one-shot-recovery-rhs", ("epsilon", "n"), ldp_threshold_rhs),
+    2: ("cdp-threshold-for-arl", ("gamma", "zeta", "epsilon"), cdp_threshold_for_arl),
+    3: ("subsampled-stability-rhs", ("n", "epsilon"), subsampled_stability_rhs),
+    5: ("privacy-converse-lower", ("n", "a", "zeta"), converse_epsilon_lower),
+    7: ("minimum-window", ("n", "epsilon"), min_window),
+}
+
+
 def _cmd_threshold(args):
+    name, needs, bound = _BOUNDS[args.thm]
     eps = _resolve_eps(args, args.n)
-    if args.thm == 1:
-        if eps is None or args.n is None:
-            raise ValueError("--thm 1 needs --n and --eps/--eps-log-n")
-        name = "one-shot-recovery-rhs"
-        value = ldp_threshold_rhs(eps, args.n)
-    elif args.thm == 2:
-        if args.gamma is None or args.zeta is None or eps is None:
-            raise ValueError("--thm 2 needs --gamma, --zeta, and --eps")
-        name = "cdp-threshold-for-arl"
-        value, feasible = cdp_threshold_for_arl(args.gamma, args.zeta, eps)
+    inputs = {"n": args.n, "a": args.a, "zeta": args.zeta, "gamma": args.gamma, "epsilon": eps}
+    missing = [key for key in needs if inputs[key] is None]
+    if missing:
+        flags = ["--eps/--eps-log-n" if key == "epsilon" else f"--{key}" for key in missing]
+        raise ValueError(f"--thm {args.thm} needs {', '.join(flags)}")
+    value = bound(*(inputs[key] for key in needs))
+    if args.thm == 2:
+        value, feasible = value
         if not feasible:
             print("infeasible: epsilon too small for this zeta", file=sys.stderr)
             return 1
-    elif args.thm == 3:
-        if eps is None or args.n is None:
-            raise ValueError("--thm 3 needs --n and --eps/--eps-log-n")
-        name = "subsampled-stability-rhs"
-        value = subsampled_stability_rhs(args.n, eps)
-    elif args.thm == 5:
-        if args.n is None or args.a is None or args.zeta is None:
-            raise ValueError("--thm 5 needs --n, --a, and --zeta")
-        name = "privacy-converse-lower"
-        value = converse_epsilon_lower(args.n, args.a, args.zeta)
     elif args.thm == 7:
-        if eps is None or args.n is None:
-            raise ValueError("--thm 7 needs --n and --eps/--eps-log-n")
-        name = "minimum-window"
-        value, flagged = min_window(args.n, eps)
+        value, flagged = value
         if flagged:
             print("note: window bound undefined at this n", file=sys.stderr)
-    else:
-        raise ValueError(f"unknown theorem selector {args.thm}")
     if args.json:
-        inputs = {
-            k: v
-            for k, v in (
-                ("n", args.n),
-                ("a", args.a),
-                ("zeta", args.zeta),
-                ("gamma", args.gamma),
-                ("epsilon", eps),
-            )
-            if v is not None
-        }
-        print(BoundReport(name, value, inputs).to_json())
+        given = {k: v for k, v in inputs.items() if v is not None}
+        print(BoundReport(name, value, given).to_json())
     else:
         print(f"{value:.10g}")
     return 0

@@ -2,11 +2,12 @@
 
 One loop runs every detection trial: `_steps` feeds a trial's graphs (drawn
 from the scenario, or replayed from a stream) to the runner that make_runner
-builds, one step per graph, until the runner stops. Campaign rows and the
-trajectory are folds over it; a run-length campaign is a delay campaign
-whose change never comes (nu = inf). `one_shot_sweep` is the other
-experiment: both estimators on one perturbed graph per draw, over a list
-of (params, epsilon) cells.
+builds, one step per graph, until the runner stops, and yields one record
+per step. A campaign's rows and the trajectory are folds over those
+records, and both campaigns build their report the same way; a run-length
+campaign is a delay campaign whose change never comes (nu = inf).
+`one_shot_sweep` is the other experiment: both estimators on one perturbed
+graph per draw, over a list of (params, epsilon) cells.
 
 Trials are reproducible regardless of scheduling. A trial's seed derives
 from (experiment seed, trial index) and owns one Philox stream per purpose,
@@ -40,6 +41,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,11 +128,9 @@ def _mean_ci(values):
 
 
 def _detector_cfg(spec, trial_seed):
-    return DetectorConfig(
-        estimator=spec.get("estimator", "sdp"),
-        window=spec.get("window", 1),
-        seed=derive_seed(trial_seed, SOLVER),
-    )
+    # only the keys the descriptor gives: the defaults are DetectorConfig's
+    given = {key: spec[key] for key in ("estimator", "window") if key in spec}
+    return DetectorConfig(seed=derive_seed(trial_seed, SOLVER), **given)
 
 
 def _release_estimator(spec):
@@ -232,44 +232,59 @@ class _CdpRunner:
         return cdp_stop(self.state, self.rule)
 
 
-_RUNNERS = {
-    "LDP": _LdpRunner,
-    "LDP-adaptive": _LdpRunner,
-    "CDP": _CdpRunner,
+_REQUIRED_KEYS = frozenset({"kind", "b", "epsilon"})
+_LDP_KEYS = _REQUIRED_KEYS | {"estimator", "window"}
+_CDP_KEYS = _REQUIRED_KEYS | {
+    "delta", "release", "release_estimator", "distance_cap", "max_subgraphs",
 }
 
-# every key a descriptor may carry, for any kind
-_DESCRIPTOR_KEYS = {
-    "kind", "b", "epsilon", "estimator", "window",
-    "delta", "release", "release_estimator", "distance_cap", "max_subgraphs",
+# kind -> (runner, every key a descriptor of that kind reads)
+_RUNNERS = {
+    "LDP": (_LdpRunner, _LDP_KEYS),
+    "LDP-adaptive": (_LdpRunner, _LDP_KEYS),
+    "CDP": (_CdpRunner, _CDP_KEYS),
 }
 
 
 def make_runner(scenario, detector, trial_seed):
     """Instantiate the stepping object for one trial.
 
-    Descriptor dicts need kind (LDP | LDP-adaptive | CDP), b, epsilon, and
-    accept estimator/window plus, for CDP, delta and release = assumed |
-    stability | subsample with release_estimator, distance_cap,
-    max_subgraphs. SDP solves use recovery's fixed settings. Any other key
-    raises ValueError, so a misspelt key cannot fall back to a default.
+    A descriptor dict needs kind (LDP | LDP-adaptive | CDP), b and epsilon.
+    An LDP or LDP-adaptive one may add estimator and window; a CDP one may
+    add delta and release = assumed | stability | subsample, with
+    release_estimator, distance_cap and max_subgraphs. SDP solves use
+    recovery's fixed settings. A missing required key, or a key the kind
+    does not read, raises ValueError: a misspelt key cannot fall back to a
+    default, nor a key of another kind be ignored.
     """
     if callable(detector):
         return detector(scenario, trial_seed)
-    unknown = sorted(set(detector) - _DESCRIPTOR_KEYS)
-    if unknown:
-        raise ValueError(f"unknown detector descriptor keys {unknown}")
-    kind = detector["kind"]
+    kind = detector.get("kind")
     if kind not in _RUNNERS:
-        raise ValueError(f"unknown detector kind {kind!r}")
-    return _RUNNERS[kind](scenario, detector, trial_seed)
+        raise ValueError(f"detector kind must be one of {sorted(_RUNNERS)}, got {kind!r}")
+    runner, keys = _RUNNERS[kind]
+    unknown = detector.keys() - keys
+    if unknown or not _REQUIRED_KEYS <= detector.keys():
+        missing = sorted(_REQUIRED_KEYS - detector.keys())
+        raise ValueError(
+            f"{kind} descriptor: missing {missing}, unread {sorted(unknown)} (it needs "
+            f"{sorted(_REQUIRED_KEYS)} and may add {sorted(keys - _REQUIRED_KEYS)})"
+        )
+    return runner(scenario, detector, trial_seed)
 
 
 def _default_truncation(cfg):
     if cfg.truncation is not None:
         return cfg.truncation
     if isinstance(cfg.detector, dict) and "b" in cfg.detector:
-        return math.ceil(50.0 * math.exp(cfg.detector["b"]))
+        b = cfg.detector["b"]
+        try:
+            return math.ceil(50.0 * math.exp(b))
+        except OverflowError:
+            raise ValueError(
+                f"b = {b} puts the default truncation ceil(50 e^b) out of range; "
+                "give an explicit truncation"
+            ) from None
     return 1000
 
 
@@ -335,11 +350,24 @@ def _ahead(graphs):
         graphs.close()
 
 
-def _steps(scenario, detector, trial_seed, horizon, stream=None, ahead=True):
-    """Feed one trial's runner up to horizon graphs; yield (k, stopped, state) until it stops.
+class _Step(NamedTuple):
+    """What a runner's state reads after one step; error is None without one to score."""
 
-    Graphs are drawn from the scenario at the law the runner observes, or
-    taken from a stream of raw graphs and passed through its `observe`.
+    t: int
+    stat: float
+    noisy_stat: float | None
+    error: int | None
+
+
+def _steps(scenario, detector, trial_seed, horizon, stream=None, ahead=True):
+    """Feed one trial's runner up to horizon graphs; yield (samples, stopped, step) until it stops.
+
+    step is a `_Step` read from the runner's state. Its error is
+    err(estimate, scenario.post), or None on a replayed stream, whose post
+    labels are unknowable, and for a runner whose state carries no estimate
+    (stubs, fixed-label rigs). Graphs are drawn from the scenario at the
+    law the runner observes, or taken from a stream of raw graphs and
+    passed through its `observe`.
     With ahead (pool workers pass False), from n = PREFETCH_MIN_N on and on
     a process allowed two or more CPUs, graph k + 1 is drawn (or taken and
     observed) and densified on a worker thread while the runner steps on
@@ -360,10 +388,14 @@ def _steps(scenario, detector, trial_seed, horizon, stream=None, ahead=True):
         graphs = (observe(raw) for raw in itertools.islice(stream, horizon))
     if ahead and _prefetches(scenario.params_pre.n):
         graphs = _ahead(graphs)
+    post = scenario.post if stream is None else None
     try:
-        for k, graph in enumerate(graphs, 1):
-            stopped = runner.step(graph, k)
-            yield k, stopped, runner.state
+        for samples, graph in enumerate(graphs, 1):
+            stopped = runner.step(graph, samples)
+            state = runner.state
+            sigma = getattr(state, "sigma_hat", None)
+            error = None if post is None or sigma is None else _post_error(sigma, post)
+            yield samples, stopped, _Step(state.t, state.stat, state.noisy_stat, error)
             if stopped:
                 return
     finally:
@@ -379,23 +411,21 @@ def _post_error(sigma, post):
 def _run_one_trial(scenario, detector, seed, truncation, trial, ahead=True):
     trial_seed = derive_seed(seed, TRIAL, trial)
     errors = []
-    for samples, stopped, state in _steps(scenario, detector, trial_seed, truncation, ahead=ahead):
-        # runner factories (stubs, fixed-label rigs) may carry no estimate
-        sigma = getattr(state, "sigma_hat", None)
-        if sigma is not None:
-            errors.append(_post_error(sigma, scenario.post))
+    for samples, stopped, step in _steps(scenario, detector, trial_seed, truncation, ahead=ahead):
+        if step.error is not None:
+            errors.append(step.error)
     # scored statistics lag samples by one when the first sample only seeded
-    offset = samples - state.t
+    offset = samples - step.t
     pre_stats = max(int(scenario.nu) - 1 - offset, 0) if scenario.nu != math.inf else 0
     return {
         "trial": trial,
         "stopped": stopped,
         "censored": not stopped,
-        "steps": state.t,
+        "steps": step.t,
         "samples": samples,
-        "delay": state.t - pre_stats,
-        "stat": state.stat,
-        "noisy_stat": state.noisy_stat,
+        "delay": step.t - pre_stats,
+        "stat": step.stat,
+        "noisy_stat": step.noisy_stat,
         "errors": errors,
     }
 
@@ -414,13 +444,15 @@ def _run_trials(cfg, scenario):
     return [_run_one_trial(*job) for job in jobs]
 
 
-def _error_series(rows):
-    longest = max((len(r["errors"]) for r in rows), default=0)
-    series = []
-    for s in range(longest):
-        vals = [r["errors"][s] for r in rows if len(r["errors"]) > s]
-        series.append(float(np.mean(vals)))
-    return series
+def _report(rows, **figures):
+    """SimReport over trial rows: the censored share, the mean error at each sample, figures."""
+    errors = [r["errors"] for r in rows]
+    longest = max(map(len, errors), default=0)
+    series = [float(np.mean([e[s] for e in errors if len(e) > s])) for s in range(longest)]
+    censored = sum(r["censored"] for r in rows) / len(rows)
+    return SimReport(
+        censored_fraction=censored, recovery_error_series=series, rows=rows, **figures
+    )
 
 
 def run_delay_trials(cfg):
@@ -434,13 +466,7 @@ def run_delay_trials(cfg):
         raise ValueError("delay trials need a finite change time nu")
     rows = _run_trials(cfg, cfg.scenario)
     mean, ci = _mean_ci([r["delay"] for r in rows])
-    return SimReport(
-        mean_delay=mean,
-        delay_ci=ci,
-        censored_fraction=sum(r["censored"] for r in rows) / len(rows),
-        recovery_error_series=_error_series(rows),
-        rows=rows,
-    )
+    return _report(rows, mean_delay=mean, delay_ci=ci)
 
 
 def run_arl_trials(cfg):
@@ -450,13 +476,7 @@ def run_arl_trials(cfg):
     lower bound on the true average run length.
     """
     rows = _run_trials(cfg, replace(cfg.scenario, nu=math.inf))
-    lengths = [r["steps"] for r in rows]
-    return SimReport(
-        arl_estimate=float(np.mean(lengths)),
-        censored_fraction=sum(r["censored"] for r in rows) / len(rows),
-        recovery_error_series=_error_series(rows),
-        rows=rows,
-    )
+    return _report(rows, arl_estimate=float(np.mean([r["steps"] for r in rows])))
 
 
 def run_trajectory(scenario, detector, truncation, seed, stream=None):
@@ -469,20 +489,16 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     trial_seed = derive_seed(seed, TRIAL, 0)
-    rows = []
-    for _, stopped, state in _steps(scenario, detector, trial_seed, truncation, stream):
-        sigma = getattr(state, "sigma_hat", None)
-        ham = -1 if stream is not None or sigma is None else _post_error(sigma, scenario.post)
-        rows.append(
-            {
-                "t": state.t,
-                "stat": state.stat,
-                "noisy_stat": state.noisy_stat,
-                "stopped": stopped,
-                "hamming_est_vs_post": ham,
-            }
-        )
-    return rows
+    return [
+        {
+            "t": step.t,
+            "stat": step.stat,
+            "noisy_stat": step.noisy_stat,
+            "stopped": stopped,
+            "hamming_est_vs_post": -1 if step.error is None else step.error,
+        }
+        for _, stopped, step in _steps(scenario, detector, trial_seed, truncation, stream)
+    ]
 
 
 def one_shot_sweep(cells, reps, seed=0):

@@ -204,19 +204,25 @@ def labels_from_config(value, n=None, base=None):
     raise ValueError(f"cannot interpret labels spec {value!r}")
 
 
+def params_from_config(n, zeta, a=None, p=None):
+    """CbmParams from exactly one of a (p = a ln(n)/n) and p; both or neither raise ValueError."""
+    if (a is None) == (p is None):
+        raise ValueError(f"give exactly one of a or p, got a={a!r} and p={p!r}")
+    if a is not None:
+        return CbmParams.from_scale(n, a, zeta)
+    return CbmParams(n=n, p=p, zeta=zeta)
+
+
 def scenario_from_config(payload):
     """Build a ChangeScenario from a JSON payload.
 
-    Expected keys: n, zeta, and p or a; pre ('balanced' or a +- string);
-    post (a +- string or {'flip': [indices]}); nu (integer or 'inf');
-    optional post_params {p or a, zeta} when the law changes too.
+    Expected keys: n, zeta, and exactly one of p and a; pre ('balanced' or
+    a +- string); post (a +- string or {'flip': [indices]}); nu (integer or
+    'inf'); optional post_params {p or a, zeta} when the law changes too.
     """
     n = payload["n"]
     zeta = payload["zeta"]
-    if "a" in payload:
-        params_pre = CbmParams.from_scale(n, payload["a"], zeta)
-    else:
-        params_pre = CbmParams(n=n, p=payload["p"], zeta=zeta)
+    params_pre = params_from_config(n, zeta, payload.get("a"), payload.get("p"))
     pre = labels_from_config(payload["pre"], n=n)
     post = labels_from_config(payload["post"], n=n, base=pre)
     nu = payload.get("nu", 1)
@@ -225,10 +231,10 @@ def scenario_from_config(payload):
     post_payload = payload.get("post_params")
     if post_payload is None:
         params_post = params_pre
-    elif "a" in post_payload:
-        params_post = CbmParams.from_scale(n, post_payload["a"], post_payload.get("zeta", zeta))
     else:
-        params_post = CbmParams(n=n, p=post_payload["p"], zeta=post_payload.get("zeta", zeta))
+        params_post = params_from_config(
+            n, post_payload.get("zeta", zeta), post_payload.get("a"), post_payload.get("p")
+        )
     return ChangeScenario(
         pre=pre, post=post, nu=nu, params_pre=params_pre, params_post=params_post
     )

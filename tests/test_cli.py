@@ -256,10 +256,22 @@ def test_detect_mode_override_is_case_insensitive(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value, key",
-    [("--b", 2.5, "b"), ("--eps", 3.0, "epsilon"), ("--delta", 0.2, "delta"), ("--w", 3, "window")],
+    [
+        ("--b", 2.5, "b"),
+        ("--eps", 3.0, "epsilon"),
+        ("--eps-log-n", None, "epsilon"),
+        ("--delta", 0.2, "delta"),
+        ("--w", 3, "window"),
+        ("--mode", "ldp-adaptive", "kind"),
+    ],
 )
 def test_detector_flags_replace_config_values(tmp_path, monkeypatch, flag, value, key):
-    config = dict(POST_CONFIG, detector={**POST_CONFIG["detector"], "delta": 0.05, "window": 1})
+    # delta is a key only a CDP descriptor reads, window one only an LDP one reads
+    if key == "delta":
+        detector = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": 0.05}
+    else:
+        detector = {**POST_CONFIG["detector"], "window": 1}
+    config = dict(POST_CONFIG, detector=detector)
     seen = {}
     real_trajectory, real_delay_trials = cli.run_trajectory, cli.run_delay_trials
 
@@ -274,9 +286,12 @@ def test_detector_flags_replace_config_values(tmp_path, monkeypatch, flag, value
     monkeypatch.setattr(cli, "run_trajectory", trajectory)
     monkeypatch.setattr(cli, "run_delay_trials", delay_trials)
     path = _write_config(tmp_path, config)
+    given = [flag] if value is None else [flag, str(value)]
     for verb in ("detect", "simulate"):
-        assert main([verb, "--config", path, flag, str(value), "--seed", "0"]) in (0, 1)
-    expected = {**config["detector"], key: value}
+        assert main([verb, "--config", path, *given, "--seed", "0"]) in (0, 1)
+    # n = 10 in POST_CONFIG's scenario
+    replaced = {"--eps-log-n": math.log(10), "--mode": "LDP-adaptive"}.get(flag, value)
+    expected = {**detector, key: replaced}
     assert seen == {"detect": expected, "simulate": expected}
 
 
@@ -298,6 +313,41 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
     config = dict(POST_CONFIG, detector={**POST_CONFIG["detector"], "windw": 17})
     assert main(["detect", "--config", _write_config(tmp_path, config), "--seed", "0"]) == 2
     assert "windw" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, verbs, refusal",
+    [
+        (lambda c: c["scenario"].update(a=2.0), ("detect", "simulate"), "exactly one of a or p"),
+        (lambda c: c["scenario"].pop("p"), ("detect", "simulate"), "exactly one of a or p"),
+        (
+            lambda c: c["scenario"].update(post_params={"a": 2.0, "p": 0.5}),
+            ("detect", "simulate"),
+            "exactly one of a or p",
+        ),
+        (lambda c: c["detector"].update(delta=0.05), ("detect", "simulate"), "unread ['delta']"),
+        (
+            lambda c: c.update(detector={"kind": "CDP", "b": 1.0, "epsilon": 2.0, "window": 3}),
+            ("detect", "simulate"),
+            "unread ['window']",
+        ),
+        (lambda c: c["detector"].pop("b"), ("detect", "simulate"), "missing ['b']"),
+        # simulate's default truncation is ceil(50 e^b); detect's is 200
+        (
+            lambda c: (c.pop("truncation"), c["detector"].update(b=800.0)),
+            ("simulate",),
+            "explicit truncation",
+        ),
+    ],
+    ids=["a-and-p", "neither", "post-a-and-p", "ldp-delta", "cdp-window", "no-b", "b-800"],
+)
+def test_refused_inputs_exit_two(tmp_path, capsys, edit, verbs, refusal):
+    config = json.loads(json.dumps(POST_CONFIG))
+    edit(config)
+    path = _write_config(tmp_path, config)
+    for verb in verbs:
+        assert main([verb, "--config", path, "--seed", "0"]) == 2
+        assert refusal in capsys.readouterr().err
 
 
 def test_simulate_delay_summary(tmp_path, capsys):

@@ -186,6 +186,39 @@ def test_make_runner_rejects_unknown_descriptor_keys():
 
 
 @pytest.mark.parametrize(
+    "detector, refusal",
+    [
+        ({"kind": "CDP", "b": 1.0, "epsilon": 2.0, "window": 3}, r"unread \['window'\]"),
+        ({"kind": "CDP", "b": 1.0, "epsilon": 2.0, "estimator": "sdp"}, r"unread \['estimator'\]"),
+        ({"kind": "LDP", "b": 1.0, "epsilon": 2.0, "delta": 0.05}, r"unread \['delta'\]"),
+        (
+            {"kind": "LDP-adaptive", "b": 1.0, "epsilon": 2.0, "release": "assumed"},
+            r"unread \['release'\]",
+        ),
+        ({"kind": "LDP", "epsilon": 2.0}, r"missing \['b'\]"),
+        ({"kind": "CDP", "b": 1.0}, r"missing \['epsilon'\]"),
+    ],
+    ids=["cdp-window", "cdp-estimator", "ldp-delta", "adaptive-release", "no-b", "no-epsilon"],
+)
+def test_descriptors_refuse_keys_their_kind_does_not_read(detector, refusal):
+    # a key of the other kind is refused, not ignored; a missing one is a ValueError
+    with pytest.raises(ValueError, match=refusal):
+        make_runner(_scenario(), detector, trial_seed=0)
+    cfg = ExperimentConfig(scenario=_scenario(), detector=detector, trials=1, truncation=3)
+    with pytest.raises(ValueError, match=refusal):
+        run_delay_trials(cfg)
+
+
+@pytest.mark.parametrize("b", [706.0, 800.0])
+def test_default_truncation_refuses_a_bar_past_the_float_range(b):
+    # 50 e^b leaves the float range from b = 705.9 on
+    detector = {"kind": "LDP", "b": b, "epsilon": 2.0, "estimator": "fixed"}
+    cfg = ExperimentConfig(scenario=_scenario(nu=1), detector=detector, trials=1)
+    with pytest.raises(ValueError, match=f"b = {b}.*explicit truncation"):
+        run_delay_trials(cfg)
+
+
+@pytest.mark.parametrize(
     "release, warning",
     [
         ({"release": "stability", "release_estimator": "ml", "distance_cap": 1}, None),

@@ -209,6 +209,18 @@ def test_scenario_from_config_rejects_junk():
         scenario_from_config(dict(base, pre="+*--"))
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [{"a": 2.0}, {"p": None}, {"post_params": {"a": 2.0, "p": 0.7}}],
+    ids=["both", "neither", "post-both"],
+)
+def test_scenario_needs_exactly_one_of_a_and_p(edit):
+    # a null p reads as no p; a scenario that gives both is refused, not read as a
+    base = {"n": 4, "p": 0.5, "zeta": 0.2, "pre": "++--", "post": "+---", "nu": 1}
+    with pytest.raises(ValueError, match="exactly one of a or p"):
+        scenario_from_config({**base, **edit})
+
+
 @pytest.mark.parametrize("flip", [[6], [1.5], [-1], [0, 0], 3, [True], "0"])
 def test_flip_spec_rejects_bad_indices(flip):
     # out of range, fractional, negative (would wrap), repeated (would cancel), not a list
