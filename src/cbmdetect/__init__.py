@@ -8,7 +8,6 @@ from .cdp import (
     subsample_stability_release,
 )
 from .detect import (
-    MODES,
     DetectorConfig,
     DetectorState,
     PrechangeEstimate,
@@ -22,7 +21,6 @@ from .detect import (
     init_detector,
     ldp_step,
     ldp_stop,
-    sensitivity_constant,
 )
 from .harness import (
     ExperimentConfig,
@@ -58,6 +56,7 @@ from .likelihood import (
     log_likelihood_ratio,
     mle_params,
     mle_params_pooled,
+    sensitivity_constant,
 )
 from .model import (
     CbmParams,

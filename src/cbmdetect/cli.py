@@ -7,9 +7,11 @@ byte-identical output files. Each input is read by one rule: exactly one of
 a and p (flags or scenario config) by `io.params_from_config`; --eps or
 --eps-log-n (eps = ln n, n from --n or the scenario) by `_resolve_eps`; the
 detector descriptor, the config's with detect's and simulate's flags laid
-over it, by `harness.make_runner`. Exit codes: 0 success, 1 statistical failure
-(no alarm, degenerate estimate, fully censored campaign), 2 bad
-configuration or input.
+over it, by `harness.make_runner`. detect and simulate run one value,
+`_experiment`'s ExperimentConfig: detect's trajectory is trial 0 of the
+campaign simulate runs on the same config and seed, with the same horizon.
+Exit codes: 0 success, 1 statistical failure (no alarm, degenerate
+estimate, fully censored campaign), 2 bad configuration or input.
 """
 
 import argparse
@@ -113,13 +115,21 @@ def _detector_from_config(payload, args, n):
     return detector
 
 
-def _cmd_detect(args):
+def _experiment(args):
+    """The ExperimentConfig detect and simulate run: each field from its flag, else
+    the config, else ExperimentConfig's default, which so lives in one place."""
     payload = load_experiment_json(args.config)
     scenario = scenario_from_config(payload["scenario"])
     detector = _detector_from_config(payload, args, scenario.params_pre.n)
-    truncation = args.truncation if args.truncation is not None else payload.get("truncation", 200)
-    stream = ingest_stream(args.stream) if args.stream else None
-    rows = run_trajectory(scenario, detector, truncation, args.seed, stream=stream)
+    given = {key: payload[key] for key in ("trials", "truncation") if key in payload}
+    flags = {key: getattr(args, key, None) for key in ("trials", "truncation", "parallelism")}
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    return ExperimentConfig(scenario=scenario, detector=detector, seed=args.seed, **given)
+
+
+def _cmd_detect(args):
+    cfg = _experiment(args)
+    rows = run_trajectory(cfg, stream=ingest_stream(args.stream) if args.stream else None)
     if args.out:
         write_trajectory_csv(rows, args.out)
     stopped = bool(rows) and rows[-1]["stopped"]
@@ -130,17 +140,8 @@ def _cmd_detect(args):
 
 
 def _cmd_simulate(args):
-    payload = load_experiment_json(args.config)
-    scenario = scenario_from_config(payload["scenario"])
-    detector = _detector_from_config(payload, args, scenario.params_pre.n)
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        detector=detector,
-        trials=args.trials if args.trials is not None else payload.get("trials", 100),
-        truncation=args.truncation if args.truncation is not None else payload.get("truncation"),
-        seed=args.seed,
-        parallelism=args.parallelism,
-    )
+    cfg = _experiment(args)
+    scenario, detector = cfg.scenario, cfg.detector
     if scenario.nu == math.inf:
         report = run_arl_trials(cfg)
         summary = {
@@ -303,7 +304,7 @@ def build_parser():
     _add_detector_args(p)
     p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
     p.add_argument("--truncation", type=int, default=None, help="max steps per trial")
-    p.add_argument("--parallelism", type=int, default=1, help="worker processes")
+    p.add_argument("--parallelism", type=int, default=None, help="worker processes")
     p.add_argument("--seed", type=int, required=True, help="campaign seed")
 
     p = sub.add_parser("sweep", help="one-shot SDP and spectral recovery over a grid of cells")

@@ -21,16 +21,14 @@ from .cdp import stability_release
 from .ldp import perturb_graph
 from .likelihood import (
     ZETA_CLAMP,
-    flip_gap,
     log_likelihood,
     log_likelihood_ratio,
     mle_params,
     mle_params_pooled,
+    sensitivity_constant,
 )
 from .model import canonical
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
-
-MODES = ("LDP", "CDP", "LDP-adaptive")
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,6 @@ class DetectorState:
     """Everything a detector carries between samples."""
 
     sigma_hat: np.ndarray
-    mode: str
     stat: float = 0.0
     noisy_stat: float | None = None
     t: int = 0  # number of scored statistics so far
@@ -85,11 +82,9 @@ class DetectorState:
     degenerate_steps: int = 0
 
 
-def init_detector(pre_labels, mode):
+def init_detector(pre_labels):
     """Fresh state: estimate starts at the pre-change labels, t = 0."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    return DetectorState(sigma_hat=canonical(pre_labels), mode=mode)
+    return DetectorState(sigma_hat=canonical(pre_labels))
 
 
 def _estimate(buffer, cfg, current):
@@ -146,11 +141,6 @@ def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
 def ldp_stop(state, rule):
     """True once the rectified statistic reaches b (inclusive)."""
     return state.t > 0 and state.stat >= rule.b
-
-
-def sensitivity_constant(zeta):
-    """Largest per-edge swing of the scored log-ratio: 2 log((1-zeta)/zeta)."""
-    return 2.0 * flip_gap(zeta)
 
 
 def cdp_threshold(b, zeta, epsilon, seed):

@@ -5,7 +5,10 @@ from the scenario, or replayed from a stream) to the runner that make_runner
 builds, one step per graph, until the runner stops, and yields one record
 per step. A campaign's rows and the trajectory are folds over those
 records, and both campaigns build their report the same way; a run-length
-campaign is a delay campaign whose change never comes (nu = inf).
+campaign is a delay campaign whose change never comes (nu = inf). Every
+entry point takes one ExperimentConfig, and the trajectory is trial 0 of
+the campaign its config describes: that trial's seed, and the one horizon
+rule, `_default_truncation`.
 `one_shot_sweep` is the other experiment: both estimators on one perturbed
 graph per draw, over a list of (params, epsilon) cells.
 
@@ -41,6 +44,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -81,13 +85,22 @@ __all__ = [
 PREFETCH_MIN_N = 800
 
 
+def _require(name, value, kind):
+    """value, or a ValueError naming name where it is not a kind (Integral, Real) or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an int" if kind is Integral else "a real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
-    """One simulation campaign: a scenario, a detector, trial bookkeeping.
+    """One simulation campaign, whose trial 0 is also `run_trajectory`'s run.
 
     detector is either a descriptor dict (see make_runner) or a factory
     callable (scenario, trial_seed) -> runner, for stubs and custom rigs.
-    truncation None picks ceil(50 * e^b) from the descriptor's threshold.
+    truncation None picks ceil(50 * e^b) from the descriptor's bar; a
+    factory has no bar to read, so it names its truncation.
     """
 
     scenario: ChangeScenario
@@ -98,12 +111,12 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError("truncation must be >= 1")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        for name in ("trials", "truncation", "parallelism"):
+            value = getattr(self, name)
+            if name == "truncation" and value is None:
+                continue  # the default horizon, see _default_truncation
+            if _require(name, value, Integral) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -188,7 +201,7 @@ class _LdpRunner:
         observed = self.law(scenario.params_pre)
         self.p_t, self.z_t = observed.p, observed.zeta
         self.cfg = _detector_cfg(spec, trial_seed)
-        self.state = init_detector(scenario.pre, self.kind)
+        self.state = init_detector(scenario.pre)
         self.rule = StoppingRule(b=spec["b"])
         self.trial_seed = trial_seed
 
@@ -220,7 +233,7 @@ class _CdpRunner:
         self.budget = PrivacyBudget(spec["epsilon"], spec.get("delta", 0.05))
         self.p, self.zeta = scenario.params_pre.p, scenario.params_pre.zeta
         self.mech = _mechanism(spec)
-        self.state = init_detector(scenario.pre, "CDP")
+        self.state = init_detector(scenario.pre)
         # the noisy bar, then every step's noise and release, in order
         self.rng = generator(trial_seed, LAPLACE)
         self.rule = cdp_threshold(spec["b"], self.zeta, spec["epsilon"], self.rng)
@@ -253,12 +266,19 @@ def make_runner(scenario, detector, trial_seed):
     An LDP or LDP-adaptive one may add estimator and window; a CDP one may
     add delta and release = assumed | stability | subsample, with
     release_estimator, distance_cap and max_subgraphs. SDP solves use
-    recovery's fixed settings. A missing required key, or a key the kind
-    does not read, raises ValueError: a misspelt key cannot fall back to a
-    default, nor a key of another kind be ignored.
+    recovery's fixed settings. A missing required key, a key the kind does
+    not read, or a b, epsilon or delta that is not a real number or a
+    window that is not an int (a bool is neither) raises ValueError naming
+    it: a misspelt key cannot fall back to a default, nor a key of another
+    kind be ignored, nor a quoted number reach the arithmetic.
     """
     if callable(detector):
         return detector(scenario, trial_seed)
+    return _runner_class(detector)(scenario, detector, trial_seed)
+
+
+def _runner_class(detector):
+    """The runner class for a descriptor, once make_runner's rule has checked it."""
     kind = detector.get("kind")
     if kind not in _RUNNERS:
         raise ValueError(f"detector kind must be one of {sorted(_RUNNERS)}, got {kind!r}")
@@ -270,22 +290,27 @@ def make_runner(scenario, detector, trial_seed):
             f"{kind} descriptor: missing {missing}, unread {sorted(unknown)} (it needs "
             f"{sorted(_REQUIRED_KEYS)} and may add {sorted(keys - _REQUIRED_KEYS)})"
         )
-    return runner(scenario, detector, trial_seed)
+    for key in ("b", "epsilon", "delta", "window"):
+        if key in detector:
+            _require(key, detector[key], Integral if key == "window" else Real)
+    return runner
 
 
 def _default_truncation(cfg):
+    """A trial's horizon: cfg.truncation, else ceil(50 e^b) from the descriptor's bar."""
     if cfg.truncation is not None:
         return cfg.truncation
-    if isinstance(cfg.detector, dict) and "b" in cfg.detector:
-        b = cfg.detector["b"]
-        try:
-            return math.ceil(50.0 * math.exp(b))
-        except OverflowError:
-            raise ValueError(
-                f"b = {b} puts the default truncation ceil(50 e^b) out of range; "
-                "give an explicit truncation"
-            ) from None
-    return 1000
+    if callable(cfg.detector):
+        raise ValueError("a detector factory has no bar to read; give an explicit truncation")
+    _runner_class(cfg.detector)  # make_runner's check, before b is read
+    b = cfg.detector["b"]
+    try:
+        return math.ceil(50.0 * math.exp(b))
+    except OverflowError:
+        raise ValueError(
+            f"b = {b} puts the default truncation ceil(50 e^b) out of range; "
+            "give an explicit truncation"
+        ) from None
 
 
 def _drawn(scenario, trial_seed, horizon, law):
@@ -408,10 +433,11 @@ def _post_error(sigma, post):
     return min(d, len(post) - d)
 
 
-def _run_one_trial(scenario, detector, seed, truncation, trial, ahead=True):
-    trial_seed = derive_seed(seed, TRIAL, trial)
+def _run_one_trial(cfg, truncation, trial, ahead=True):
+    scenario, trial_seed = cfg.scenario, derive_seed(cfg.seed, TRIAL, trial)
+    steps = _steps(scenario, cfg.detector, trial_seed, truncation, ahead=ahead)
     errors = []
-    for samples, stopped, step in _steps(scenario, detector, trial_seed, truncation, ahead=ahead):
+    for samples, stopped, step in steps:
         if step.error is not None:
             errors.append(step.error)
     # scored statistics lag samples by one when the first sample only seeded
@@ -430,18 +456,17 @@ def _run_one_trial(scenario, detector, seed, truncation, trial, ahead=True):
     }
 
 
-def _run_trials(cfg, scenario):
+def _run_trials(cfg):
     truncation = _default_truncation(cfg)
-    jobs = [(scenario, cfg.detector, cfg.seed, truncation, trial) for trial in range(cfg.trials)]
     if cfg.parallelism > 1:
         # imported here: the module costs tens of ms and serial runs never need it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             # the pool's processes already keep the CPUs busy: no prefetch there
-            run = functools.partial(_run_one_trial, ahead=False)
-            return list(pool.map(run, *zip(*jobs)))
-    return [_run_one_trial(*job) for job in jobs]
+            run = functools.partial(_run_one_trial, cfg, truncation, ahead=False)
+            return list(pool.map(run, range(cfg.trials)))
+    return [_run_one_trial(cfg, truncation, trial) for trial in range(cfg.trials)]
 
 
 def _report(rows, **figures):
@@ -464,7 +489,7 @@ def run_delay_trials(cfg):
     """
     if cfg.scenario.nu == math.inf:
         raise ValueError("delay trials need a finite change time nu")
-    rows = _run_trials(cfg, cfg.scenario)
+    rows = _run_trials(cfg)
     mean, ci = _mean_ci([r["delay"] for r in rows])
     return _report(rows, mean_delay=mean, delay_ci=ci)
 
@@ -475,20 +500,20 @@ def run_arl_trials(cfg):
     Censored runs count at the truncation horizon, making the estimate a
     lower bound on the true average run length.
     """
-    rows = _run_trials(cfg, replace(cfg.scenario, nu=math.inf))
+    rows = _run_trials(replace(cfg, scenario=replace(cfg.scenario, nu=math.inf)))
     return _report(rows, arl_estimate=float(np.mean([r["steps"] for r in rows])))
 
 
-def run_trajectory(scenario, detector, truncation, seed, stream=None):
-    """One run, recorded step by step for trajectory CSV output.
+def run_trajectory(cfg, stream=None):
+    """Trial 0 of cfg's campaign, recorded step by step for trajectory CSV output.
 
-    With a stream (list of graphs), samples come from its first
-    `truncation` graphs and the hamming column is -1 (true post labels
+    Its seed and horizon are the campaign's trial 0's, so the rows fold to
+    that trial's row. With a stream (raw graphs), samples come from its
+    first horizon graphs and the hamming column is -1 (true post labels
     unknowable); otherwise samples are drawn from the scenario.
     """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    trial_seed = derive_seed(seed, TRIAL, 0)
+    trial_seed = derive_seed(cfg.seed, TRIAL, 0)
+    steps = _steps(cfg.scenario, cfg.detector, trial_seed, _default_truncation(cfg), stream)
     return [
         {
             "t": step.t,
@@ -497,7 +522,7 @@ def run_trajectory(scenario, detector, truncation, seed, stream=None):
             "stopped": stopped,
             "hamming_est_vs_post": -1 if step.error is None else step.error,
         }
-        for _, stopped, step in _steps(scenario, detector, trial_seed, truncation, stream)
+        for _, stopped, step in steps
     ]
 
 

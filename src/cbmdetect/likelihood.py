@@ -22,6 +22,11 @@ def flip_gap(zeta):
     return math.log((1.0 - zeta) / zeta)
 
 
+def sensitivity_constant(zeta):
+    """Largest per-edge swing of the scored log-ratio: C = 2 log((1-zeta)/zeta)."""
+    return 2.0 * flip_gap(zeta)
+
+
 def log_likelihood(graph, labels, p, zeta):
     """Exact log-probability of the graph under (labels, p, zeta)."""
     if not 0.0 < p < 1.0:

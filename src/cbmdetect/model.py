@@ -12,7 +12,6 @@ integers: the same uniforms, and so the same graphs, as Generator.random.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -117,12 +116,11 @@ def format_labels(labels):
 
 @dataclass(frozen=True)
 class CbmParams:
-    """Model parameters. `a` optionally pins p to the a*log(n)/n scale."""
+    """Model parameters: n nodes, reveal probability p, sign flip probability zeta."""
 
     n: int
     p: float
     zeta: float
-    a: float | None = None
 
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
@@ -131,33 +129,11 @@ class CbmParams:
             raise ValueError(f"p={self.p} outside [0, 1]")
         if not 0.0 < self.zeta < 0.5:
             raise ValueError(f"zeta={self.zeta} outside (0, 0.5)")
-        if self.a is not None:
-            implied = self.a * math.log(self.n) / self.n
-            if not math.isclose(self.p, implied, rel_tol=1e-12, abs_tol=0.0):
-                raise ValueError(
-                    f"p={self.p} inconsistent with a={self.a} (implies p={implied})"
-                )
 
     @classmethod
     def from_scale(cls, n, a, zeta):
         """Parameters at the p = a*log(n)/n operating point."""
-        return cls(n=n, p=a * math.log(n) / n, zeta=zeta, a=a)
-
-    def to_json(self):
-        payload = {"n": self.n, "p": self.p, "zeta": self.zeta}
-        if self.a is not None:
-            payload["a"] = self.a
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        payload = json.loads(text)
-        return cls(
-            n=payload["n"],
-            p=payload["p"],
-            zeta=payload["zeta"],
-            a=payload.get("a"),
-        )
+        return cls(n=n, p=a * math.log(n) / n, zeta=zeta)
 
 
 @dataclass(eq=False)

@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .likelihood import disagreeing_pairs, flip_gap, kl_divergence
+from .likelihood import disagreeing_pairs, kl_divergence, sensitivity_constant
 from .ldp import ldp_recovery_margin, ldp_threshold_rhs, perturbed_params
 from .model import n_pairs
 
@@ -69,7 +69,7 @@ def arl_lower_ldp(b):
 
 
 def _cdp_factor(zeta, epsilon):
-    c = 2.0 * flip_gap(zeta)
+    c = sensitivity_constant(zeta)
     if epsilon <= 4.0 * c:
         return None
     r2 = (2.0 * c / epsilon) ** 2

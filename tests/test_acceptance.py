@@ -215,7 +215,7 @@ class _KnownLabelsRunner:
         params = scenario.params_pre
         self.p_t, self.z_t = perturbed_params(params.p, params.zeta, 1.5)
         self.cfg = DetectorConfig(estimator="fixed")
-        self.state = init_detector(scenario.post, "LDP")
+        self.state = init_detector(scenario.post)
         self.rule = StoppingRule(b=b)
 
     def step(self, raw_graph, k):

@@ -6,7 +6,7 @@ import pytest
 
 from cbmdetect import cli
 from cbmdetect.cli import VERB_MAP, build_parser, main
-from cbmdetect.harness import one_shot_sweep
+from cbmdetect.harness import ExperimentConfig, one_shot_sweep, run_arl_trials
 from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv, write_sweep_csv
 from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, parse_labels
 from cbmdetect.theory import info_numbers
@@ -233,6 +233,8 @@ def test_detect_no_alarm_exits_one(tmp_path, capsys):
             "pre": "balanced", "post": {"flip": [0]}, "nu": 1,
         },
         "detector": {"kind": "LDP", "b": 1e6, "epsilon": 1e6},
+        # a bar this high has no default horizon; the three-graph stream ends first
+        "truncation": 10,
     }
     code = main(
         [
@@ -275,9 +277,9 @@ def test_detector_flags_replace_config_values(tmp_path, monkeypatch, flag, value
     seen = {}
     real_trajectory, real_delay_trials = cli.run_trajectory, cli.run_delay_trials
 
-    def trajectory(scenario, detector, *args, **kwargs):
-        seen["detect"] = detector
-        return real_trajectory(scenario, detector, *args, **kwargs)
+    def trajectory(cfg, *args, **kwargs):
+        seen["detect"] = cfg.detector
+        return real_trajectory(cfg, *args, **kwargs)
 
     def delay_trials(cfg):
         seen["simulate"] = cfg.detector
@@ -332,10 +334,10 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
             "unread ['window']",
         ),
         (lambda c: c["detector"].pop("b"), ("detect", "simulate"), "missing ['b']"),
-        # simulate's default truncation is ceil(50 e^b); detect's is 200
+        # both verbs' default truncation is ceil(50 e^b)
         (
             lambda c: (c.pop("truncation"), c["detector"].update(b=800.0)),
-            ("simulate",),
+            ("detect", "simulate"),
             "explicit truncation",
         ),
     ],
@@ -398,6 +400,63 @@ def test_zero_trials_or_truncation_exit_two(tmp_path, capsys):
     for verb, flag in (("simulate", "--trials"), ("simulate", "--truncation"), ("detect", "--truncation")):
         assert main([verb, "--config", path, flag, "0", "--seed", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
+
+
+def _cdp_delta(value):
+    return lambda c: c.update(detector={"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": value})
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda c: c["detector"].update(b="2"), "b"),
+        (lambda c: c["detector"].update(epsilon="2"), "epsilon"),
+        (_cdp_delta("0.05"), "delta"),
+        (lambda c: c["detector"].update(window="3"), "window"),
+        (lambda c: c.update(truncation="6"), "truncation"),
+        (lambda c: c["detector"].update(window=2.5), "window"),
+        (lambda c: c.update(truncation=6.5), "truncation"),
+        (lambda c: c.update(trials="2"), "trials"),
+        (lambda c: c["detector"].update(b=True), "b"),
+    ],
+    ids=[
+        "b-str", "epsilon-str", "delta-str", "window-str", "truncation-str",
+        "window-float", "truncation-float", "trials-str", "b-bool",
+    ],
+)
+def test_mistyped_values_exit_two(tmp_path, capsys, edit, field):
+    # a quoted number, a fraction where a count belongs or a bool is bad
+    # input (exit 2, the field named), not a statistical failure (exit 1)
+    config = json.loads(json.dumps(POST_CONFIG))
+    edit(config)
+    path = _write_config(tmp_path, config)
+    for verb in ("detect", "simulate"):
+        assert main([verb, "--config", path, "--seed", "0"]) == 2
+        assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_detect_is_trial_zero_of_simulate_without_a_truncation(tmp_path, capsys):
+    # no truncation anywhere: both verbs stop trial 0 at the same sample, past
+    # the 200 samples detect once defaulted to
+    config = json.loads(json.dumps(POST_CONFIG))
+    config.pop("truncation")
+    config.pop("trials")
+    config["scenario"]["nu"] = "inf"
+    config["detector"]["b"] = 3.0
+    path, traj = _write_config(tmp_path, config), tmp_path / "traj.csv"
+    assert main(["detect", "--config", path, "--seed", "0", "--out", str(traj)]) == 0
+    lines = traj.read_text().splitlines()[1:]
+    cfg = ExperimentConfig(scenario_from_config(config["scenario"]), config["detector"], trials=1)
+    row = run_arl_trials(cfg).rows[0]
+    assert row["stopped"] and row["samples"] > 200
+    written = [line.split(",") for line in lines]
+    assert len(written) == row["samples"]
+    assert written[-1][:2] == [str(row["steps"]), f"{row['stat']:.12g}"]
+    assert [int(w[3]) for w in written] == [0] * (row["samples"] - 1) + [1]
+    assert [int(w[4]) for w in written] == row["errors"]
+    capsys.readouterr()
+    assert main(["simulate", "--config", path, "--trials", "1", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["arl_estimate"] == row["steps"]
 
 
 def test_simulate_arl_summary(tmp_path, capsys):

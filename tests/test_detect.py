@@ -38,13 +38,9 @@ FIXED = DetectorConfig(estimator="fixed")
 
 
 def test_init_detector():
-    state = init_detector(-PRE, "LDP")
+    state = init_detector(-PRE)
     assert np.array_equal(state.sigma_hat, PRE)
     assert state.t == 0 and state.stat == 0.0 and state.buffer == ()
-    with pytest.raises(ValueError):
-        init_detector(PRE, "GDP")
-    with pytest.raises(ValueError):
-        init_detector(PRE, "CDP-adaptive")
 
 
 def test_config_validation():
@@ -57,7 +53,7 @@ def test_config_validation():
 
 
 def test_first_sample_only_seeds():
-    state = init_detector(PRE, "LDP")
+    state = init_detector(PRE)
     g = _pattern_graph(POST)
     state = ldp_step(state, g, PRE, 0.6, 0.38, DetectorConfig())
     assert state.t == 0
@@ -75,7 +71,7 @@ def test_detector_config_has_no_seed_first_knob():
 
 def test_scored_increment_is_the_log_ratio():
     g = _pattern_graph(POST)
-    state = replace(init_detector(PRE, "LDP"), sigma_hat=POST, buffer=(g,))
+    state = replace(init_detector(PRE), sigma_hat=POST, buffer=(g,))
     state = ldp_step(state, g, PRE, 0.6, 0.38, FIXED)
     expected = log_likelihood_ratio(g, POST, PRE, 0.6, 0.38)
     assert expected > 0
@@ -88,7 +84,7 @@ def test_scored_increment_is_the_log_ratio():
 
 def test_statistic_rectified_at_zero():
     g_pre = _pattern_graph(PRE)
-    state = replace(init_detector(PRE, "LDP"), sigma_hat=POST, buffer=(g_pre,))
+    state = replace(init_detector(PRE), sigma_hat=POST, buffer=(g_pre,))
     for _ in range(4):
         state = ldp_step(state, g_pre, PRE, 0.6, 0.38, FIXED)
         assert state.stat == 0.0
@@ -96,7 +92,7 @@ def test_statistic_rectified_at_zero():
 
 def test_window_keeps_last_graphs():
     cfg = DetectorConfig(estimator="fixed", window=3)
-    state = init_detector(PRE, "LDP")
+    state = init_detector(PRE)
     graphs = [_pattern_graph(PRE) for _ in range(5)]
     for g in graphs:
         state = ldp_step(state, g, PRE, 0.6, 0.38, cfg)
@@ -116,7 +112,7 @@ def test_warm_started_spectral_steps_match_a_cold_recomputation(window):
     rng = np.random.default_rng(window)
     graphs = [sample_cbm(params, pre if k < 2 else post, rng) for k in range(8)]
     cfg = DetectorConfig(estimator="spectral", window=window, seed=4)
-    state = init_detector(pre, "LDP")
+    state = init_detector(pre)
     stat, sigma = 0.0, None
     for k, g in enumerate(graphs):
         if sigma is not None:
@@ -131,7 +127,7 @@ def test_warm_started_spectral_steps_match_a_cold_recomputation(window):
 
 def test_ldp_stop_needs_scored_steps():
     rule = StoppingRule(b=1.0)
-    fresh = init_detector(PRE, "LDP")
+    fresh = init_detector(PRE)
     assert not ldp_stop(replace(fresh, stat=5.0), rule)
     assert ldp_stop(replace(fresh, stat=5.0, t=1), rule)
     assert not ldp_stop(replace(fresh, stat=0.5, t=3), rule)
@@ -159,7 +155,7 @@ def _released(labels):
 def test_cdp_step_seeds_then_scores():
     budget = PrivacyBudget(5.0, 0.05)
     g = _pattern_graph(POST)
-    state = init_detector(PRE, "CDP")
+    state = init_detector(PRE)
     state = cdp_step(state, g, PRE, 0.5, 0.1, budget, _released(POST), seed=11)
     assert state.t == 0 and state.stat == 0.0 and state.noisy_stat is None
     assert np.array_equal(state.sigma_hat, POST)
@@ -175,7 +171,7 @@ def test_cdp_step_noise_reproducible():
     g = _pattern_graph(POST)
 
     def run():
-        state = init_detector(PRE, "CDP")
+        state = init_detector(PRE)
         state = cdp_step(state, g, PRE, 0.5, 0.1, budget, _released(POST), seed=21)
         return cdp_step(state, g, PRE, 0.5, 0.1, budget, _released(POST), seed=22)
 
@@ -184,7 +180,7 @@ def test_cdp_step_noise_reproducible():
 
 def test_cdp_stop_contract():
     rule = cdp_threshold(1.0, 0.1, 50.0, seed=0)
-    state = replace(init_detector(PRE, "CDP"), t=1, noisy_stat=rule.b_tilde + 0.1)
+    state = replace(init_detector(PRE), t=1, noisy_stat=rule.b_tilde + 0.1)
     assert cdp_stop(state, rule)
     assert not cdp_stop(replace(state, noisy_stat=rule.b_tilde - 0.1), rule)
     assert not cdp_stop(replace(state, t=0), rule)
@@ -195,7 +191,7 @@ def test_cdp_stop_contract():
 def test_adaptive_step_refits_parameters():
     params = CbmParams(n=6, p=0.9, zeta=0.05)
     g = sample_cbm(params, POST, seed=3)
-    state = init_detector(PRE, "LDP-adaptive")
+    state = init_detector(PRE)
     state = adaptive_step_unknown_params(state, g, PRE, 0.9, 0.05, FIXED)
     assert state.t == 0
     assert state.p_hat == g.edge_count / 15
@@ -205,7 +201,7 @@ def test_adaptive_step_refits_parameters():
 
 def test_adaptive_step_degenerate_sample():
     empty = TernaryGraph.zero(6)
-    state = init_detector(PRE, "LDP-adaptive")
+    state = init_detector(PRE)
     state = adaptive_step_unknown_params(state, empty, PRE, 0.9, 0.05, FIXED)
     assert state.p_hat is None
     assert state.degenerate_steps == 1
@@ -226,7 +222,7 @@ def test_malformed_pre_labels_raise_at_the_first_scored_step(step, mode, bad):
     # pre_labels are checked where they are scored; the seed-only first
     # step scores nothing, so the check comes with the second sample
     g = sample_cbm(CbmParams(n=6, p=0.9, zeta=0.05), POST, seed=3)
-    state = step(init_detector(PRE, mode), g, bad, 0.9, 0.05, FIXED)
+    state = step(init_detector(PRE), g, bad, 0.9, 0.05, FIXED)
     assert state.t == 0
     with pytest.raises(ValueError):
         step(state, g, bad, 0.9, 0.05, FIXED)

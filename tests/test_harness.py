@@ -97,10 +97,10 @@ def test_runner_estimates_are_checked_at_every_step(labels, errors):
         with pytest.raises(ValueError):
             run_delay_trials(cfg)
         with pytest.raises(ValueError):
-            run_trajectory(sc, _carrying(labels), 10, seed=0)
+            run_trajectory(cfg)
         return
     assert run_delay_trials(cfg).rows[0]["errors"] == errors
-    rows = run_trajectory(sc, _carrying(labels), 10, seed=0)
+    rows = run_trajectory(cfg)
     assert [r["hamming_est_vs_post"] for r in rows] == errors
 
 
@@ -283,12 +283,55 @@ def test_trajectory_matches_trial_zero():
     sc = _scenario(n=10, nu=2, flips=(0, 1))
     cfg = ExperimentConfig(scenario=sc, detector=detector, trials=2, truncation=12, seed=5)
     row = run_delay_trials(cfg).rows[0]
-    traj = run_trajectory(sc, detector, truncation=12, seed=5)
+    traj = run_trajectory(cfg)
     assert len(traj) == row["samples"]
     assert traj[-1]["t"] == row["steps"]
     assert traj[-1]["stat"] == row["stat"]
     assert traj[-1]["stopped"] == row["stopped"]
     assert [r["hamming_est_vs_post"] for r in traj] == row["errors"]
+
+
+def test_trajectory_without_truncation_is_trial_zero():
+    # no truncation: the trajectory's horizon is trial 0's, ceil(50 e^b)
+    detector = {"kind": "LDP", "b": 0.01, "epsilon": 2.0, "estimator": "spectral"}
+    cfg = ExperimentConfig(_scenario(n=10, nu=2, flips=(0, 1)), detector, trials=2, seed=5)
+    row = run_delay_trials(cfg).rows[0]
+    traj = run_trajectory(cfg)
+    assert len(traj) == row["samples"]
+    assert traj[-1]["t"] == row["steps"]
+    assert traj[-1]["stat"] == row["stat"]
+    assert traj[-1]["stopped"] == row["stopped"]
+    assert [r["hamming_est_vs_post"] for r in traj] == row["errors"]
+
+
+def test_factory_without_truncation_is_refused():
+    # a factory has no bar to derive a horizon from, so it must name one
+    cfg = ExperimentConfig(scenario=_scenario(nu=1), detector=StopAtThree, trials=1)
+    for run in (run_delay_trials, run_arl_trials, run_trajectory):
+        with pytest.raises(ValueError, match="explicit truncation"):
+            run(cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("trials", "2"), ("trials", 2.0), ("trials", True), ("truncation", 6.5), ("parallelism", "2")],
+)
+def test_config_refuses_counts_that_are_not_ints(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an int"):
+        ExperimentConfig(scenario=_scenario(), detector=StopAtThree, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("b", "2"), ("b", True), ("epsilon", "2"), ("window", 2.5), ("window", True)],
+)
+def test_descriptors_refuse_values_of_the_wrong_type(key, value):
+    detector = {"kind": "LDP", "b": 1.0, "epsilon": 2.0, key: value}
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        make_runner(_scenario(), detector, trial_seed=0)
+    # checked before the default horizon reads b
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        run_delay_trials(ExperimentConfig(scenario=_scenario(), detector=detector, trials=1))
 
 
 def test_delay_reproducible_and_error_series_present():
@@ -304,7 +347,7 @@ def test_delay_reproducible_and_error_series_present():
 def test_run_trajectory_schema():
     detector = {"kind": "LDP", "b": 0.5, "epsilon": 2.0, "estimator": "spectral"}
     sc = _scenario(n=10, nu=1, flips=(0, 1))
-    rows = run_trajectory(sc, detector, truncation=8, seed=0)
+    rows = run_trajectory(ExperimentConfig(sc, detector, truncation=8, seed=0))
     ts = [r["t"] for r in rows]
     assert ts == sorted(ts)
     assert all(r["stat"] >= 0.0 for r in rows)
@@ -319,7 +362,7 @@ def test_run_trajectory_stream_mode():
     post_pattern = (sc.post[i] * sc.post[j]).astype(np.int8)
     stream = [TernaryGraph(6, post_pattern.copy()) for _ in range(3)]
     detector = {"kind": "LDP", "b": 1e6, "epsilon": 1e6, "estimator": "sdp"}
-    rows = run_trajectory(sc, detector, truncation=99, seed=0, stream=stream)
+    rows = run_trajectory(ExperimentConfig(sc, detector, truncation=99, seed=0), stream)
     assert len(rows) == 3
     assert all(r["hamming_est_vs_post"] == -1 for r in rows)
     # noiseless post-change stream through an identity channel: the statistic
@@ -335,7 +378,7 @@ def test_run_trajectory_stream_stops_at_truncation():
     post_pattern = (sc.post[i] * sc.post[j]).astype(np.int8)
     stream = [TernaryGraph(6, post_pattern.copy()) for _ in range(5)]
     detector = {"kind": "LDP", "b": 1e6, "epsilon": 1e6, "estimator": "spectral"}
-    rows = run_trajectory(sc, detector, truncation=2, seed=0, stream=stream)
+    rows = run_trajectory(ExperimentConfig(sc, detector, truncation=2, seed=0), stream)
     assert len(rows) == 2
     assert not any(r["stopped"] for r in rows)
 
@@ -347,11 +390,11 @@ def test_run_trajectory_stream_is_perturbed_at_finite_epsilon():
     sc = _scenario(n=12, p=0.9, nu=1, flips=(0, 1))
     stream = [sample_cbm(sc.params_pre, sc.post, 40 + k) for k in range(1, 11)]
     spec = {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "spectral"}
-    rows = run_trajectory(sc, spec, truncation=99, seed=2, stream=stream)
+    rows = run_trajectory(ExperimentConfig(sc, spec, truncation=99, seed=2), stream)
     trial_seed = derive_seed(2, TRIAL, 0)
     cfg = DetectorConfig(estimator="spectral", seed=derive_seed(trial_seed, SOLVER))
     p_t, z_t = perturbed_params(sc.params_pre.p, sc.params_pre.zeta, 1.5)
-    state = init_detector(sc.pre, "LDP")
+    state = init_detector(sc.pre)
     stats = []
     rng = generator(trial_seed, PERTURB)
     for raw in stream:
@@ -390,7 +433,13 @@ SEEDING_RUNS = {
     "ldp-sdp-campaign": (_campaign("LDP", estimator="sdp"), 2, True),
     "replayed-trajectory": (
         lambda sc, stream, horizon: run_trajectory(
-            sc, {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "sdp"}, horizon, 1, stream
+            ExperimentConfig(
+                sc,
+                {"kind": "LDP", "b": 1e6, "epsilon": 1.5, "estimator": "sdp"},
+                truncation=horizon,
+                seed=1,
+            ),
+            stream,
         ),
         1,
         True,
@@ -438,7 +487,7 @@ def test_ldp_trials_draw_the_perturbed_law(monkeypatch, p):
     fed = []
     monkeypatch.setattr(harness, "ldp_step", lambda state, graph, *rest: fed.append(graph) or state)
     spec = {"kind": "LDP", "b": 1.0, "epsilon": 1.0, "estimator": "fixed"}
-    run_trajectory(sc, spec, truncation=1, seed=0)
+    run_trajectory(ExperimentConfig(sc, spec, truncation=1, seed=0))
     (graph,) = fed
     i, j = pair_indices(n)
     revealed = graph.upper != 0
@@ -563,7 +612,7 @@ def _spec(**kw):
 
 def _replayed(sc, spec):
     stream = [sample_cbm(sc.params_pre, sc.post, 60 + k) for k in range(8)]
-    return run_trajectory(sc, spec, truncation=8, seed=4, stream=stream)
+    return run_trajectory(ExperimentConfig(sc, spec, truncation=8, seed=4), stream)
 
 
 def _drawn_rows(sc, spec, parallelism=1):

@@ -122,15 +122,11 @@ def test_params_validation():
         CbmParams(n=10, p=1.5, zeta=0.1)
     with pytest.raises(ValueError):
         CbmParams(n=1, p=0.5, zeta=0.1)
-    with pytest.raises(ValueError):
-        CbmParams(n=10, p=0.9, zeta=0.1, a=5.0)
 
 
-def test_params_from_scale_and_json():
+def test_params_from_scale():
     params = CbmParams.from_scale(50, 5.0, 0.1)
     assert math.isclose(params.p, 5.0 * math.log(50) / 50)
-    again = CbmParams.from_json(params.to_json())
-    assert again == params
 
 
 def test_graph_from_dense_round_trip():
