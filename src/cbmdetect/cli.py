@@ -115,10 +115,19 @@ def _detector_from_config(payload, args, n):
     return detector
 
 
+_EXPERIMENT_KEYS = ("scenario", "detector", "trials", "truncation")
+
+
 def _experiment(args):
     """The ExperimentConfig detect and simulate run: each field from its flag, else
-    the config, else ExperimentConfig's default, which so lives in one place."""
+    the config, else ExperimentConfig's default, which so lives in one place.
+
+    A top-level key the file may not hold raises ValueError naming it, so a
+    misspelt "trials" cannot fall back to the default."""
     payload = load_experiment_json(args.config)
+    unread = sorted(payload.keys() - set(_EXPERIMENT_KEYS))
+    if unread:
+        raise ValueError(f"experiment file: unread {unread} (it may hold {list(_EXPERIMENT_KEYS)})")
     scenario = scenario_from_config(payload["scenario"])
     detector = _detector_from_config(payload, args, scenario.params_pre.n)
     given = {key: payload[key] for key in ("trials", "truncation") if key in payload}

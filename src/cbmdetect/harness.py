@@ -267,10 +267,12 @@ def make_runner(scenario, detector, trial_seed):
     add delta and release = assumed | stability | subsample, with
     release_estimator, distance_cap and max_subgraphs. SDP solves use
     recovery's fixed settings. A missing required key, a key the kind does
-    not read, or a b, epsilon or delta that is not a real number or a
-    window that is not an int (a bool is neither) raises ValueError naming
-    it: a misspelt key cannot fall back to a default, nor a key of another
-    kind be ignored, nor a quoted number reach the arithmetic.
+    not read, a b, epsilon or delta that is not a real number, a window that
+    is not an int (a bool is neither), or a distance_cap or max_subgraphs
+    other than null (its default) or an int of at least 0 or 1 raises
+    ValueError naming it: a misspelt key cannot fall back to a default, nor
+    a key of another kind be ignored, nor a quoted number reach the
+    arithmetic.
     """
     if callable(detector):
         return detector(scenario, trial_seed)
@@ -293,6 +295,10 @@ def _runner_class(detector):
     for key in ("b", "epsilon", "delta", "window"):
         if key in detector:
             _require(key, detector[key], Integral if key == "window" else Real)
+    for key, least in (("distance_cap", 0), ("max_subgraphs", 1)):
+        value = detector.get(key)
+        if value is not None and _require(key, value, Integral) < least:
+            raise ValueError(f"{key} must be >= {least}, got {value!r}")
     return runner
 
 

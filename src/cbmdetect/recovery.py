@@ -4,10 +4,10 @@ Three estimators share the objective sigma^T M sigma, M the sum of the input
 adjacencies: a factored ascent for the semidefinite relaxation from one
 seeded start, stopped by a duality-gap certificate, the signs of M's top
 eigenvector, and exhaustive search for small n. The ascent runs no
-eigensolver: its shifted power steps take their shift's scale from the
-semicircle's lower edge -2 ||M||_F / sqrt(n), an estimate, and from the
-first gap check on add a heavy-ball term; neither bears on the
-certificate, only on how soon it passes. Both proofs in the module
+eigensolver: its power steps multiply by M plus one shift per call, SHIFT
+times the semicircle's edge 2 ||M||_F / sqrt(n), and from the first gap
+check on add a heavy-ball term; neither bears on the certificate, only on
+how soon it passes. Both proofs in the module
 rest on one helper (_proves_psd): one Cholesky factorization, its diagonal
 shifted to cover its rounding and the caller's (Rump), proves a matrix
 positive semidefinite in exact arithmetic. The gap certificate is weak
@@ -30,7 +30,7 @@ once per (seed, purpose index, shape) and cached read-only, as a detector
 passes one solver seed at every step. Each status says whether its solver
 met its bound. All return canonical labels (first entry +1). The solvers'
 settings are the module constants GAP_EVERY, GAP_TOL, MAX_ITERS, MOMENTUM,
-EIGH_MAX_N, RITZ_TOL, RITZ_EVERY, RITZ_TOL32, F32_STEPS_DIVISOR,
+SHIFT, EIGH_MAX_N, RITZ_TOL, RITZ_EVERY, RITZ_TOL32, F32_STEPS_DIVISOR,
 LANCZOS_BLOCK, SQUARING_MAX_N, SIGN_TRIES and SIGN_GAP.
 """
 
@@ -100,6 +100,7 @@ GAP_EVERY = 10  # ascent steps between duality-gap checks
 MOMENTUM = 0.5  # heavy-ball weight of the ascent's steps from the first gap check on
 GAP_TOL = 1e-4  # certified duality gap, relative to 1 + |objective|
 MAX_ITERS = 300  # ascent steps before giving up uncertified
+SHIFT = 0.10  # the ascent's shift, as a share of the semicircle edge 2 ||M||_F / sqrt(n)
 
 
 def _rownormalize(w, v):
@@ -111,23 +112,22 @@ def _rownormalize(w, v):
     return np.divide(w, norms, out=v.copy(), where=norms > 0.0)
 
 
-def _power_step(v, mv, y, lam_min, prev=None):
-    """V <- rownormalize((M + s I) V + MOMENTUM (y + s) o (V - prev)); rows with a zero image stay.
+def _power_step(v, mv, y, prev=None):
+    """V <- rownormalize(mv + MOMENTUM y o (V - prev)); rows with a zero image stay.
 
-    s = min(max((-lam_min - min y) / 2, 0), -lam_min), the shift of
-    Journee, Nesterov, Richtarik & Sepulchre (JMLR 2010), from lam_min, an
-    estimate of M's smallest eigenvalue. Given a previous block, each row
-    also moves on along its last step, weighted by its own scale y_i + s:
-    Polyak's heavy ball (USSR Comput. Math. Math. Phys. 4(5), 1964), as in
-    Xu et al.'s accelerated power iteration (AISTATS 2018). Neither makes
-    tr(V^T M V) rise at every step; only the gap certificate stops the
-    ascent.
+    mv = (M + s I) V for the caller's shift s, and y its row products y_i =
+    <mv_i, v_i>, the rows' scales. With s >= -lambda_min(M) and no previous
+    block it is the step of Journee, Nesterov, Richtarik & Sepulchre (JMLR
+    2010), which cannot lower tr(V^T M V). Given a previous block, each row
+    also moves on along its last step, weighted by its own scale: Polyak's
+    heavy ball (USSR Comput. Math. Math. Phys. 4(5), 1964), as in Xu et
+    al.'s accelerated power iteration (AISTATS 2018). The ascent passes a
+    smaller s and the heavy ball, so its objective need not rise at every
+    step; only the gap certificate stops it. mv is overwritten.
     """
-    s = min(max((-lam_min - y.min()) / 2.0, 0.0), -lam_min)
-    w = mv + s * v
     if prev is not None:
-        w += (MOMENTUM * (y + s))[:, None] * (v - prev)
-    return _rownormalize(w, v)
+        mv += (MOMENTUM * y)[:, None] * (v - prev)
+    return _rownormalize(mv, v)
 
 
 def _extrapolate(xs):
@@ -219,8 +219,8 @@ def _certifies(m, dual, f, bar):
     return _proves_psd(b, e + EPS * (abs(mu) + scale))
 
 
-def _ascend(m, v, lam_min):
-    """(V, certified, steps, y, f): shifted power ascent of the n x rank block V.
+def _ascend(m, v, shift):
+    """(V, certified, steps, y, f): power ascent of the n x rank block V on M + shift I.
 
     Every GAP_EVERY steps it tries to prove f = sum y, with y_i = <(M V)_i,
     v_i>, within GAP_TOL (1 + |f|) of the SDP optimum. For every dual y' and
@@ -236,32 +236,36 @@ def _ascend(m, v, lam_min):
     arithmetic for the computed y' and f. A block certified by an
     extrapolated y' is the same extrapolation of V, rows renormalized; else V
     is the current block. y and f are the certificate's dual and objective,
-    or the current ones if none passed. lam_min, an estimate of M's smallest
-    eigenvalue, sets the steps' shift; from step GAP_EVERY on they carry
-    the heavy-ball term (_power_step), so a block certified at the first
-    check has taken plain shifted steps only.
+    or the current ones if none passed. The steps (_power_step) multiply by
+    one shifted copy of M made per call, so the rows' history is kept as y +
+    shift, their scales; shift comes off at a gap check and in the y
+    returned. From step GAP_EVERY on the steps carry the heavy-ball term, so
+    a block certified at the first check has taken plain shifted steps only.
     """
+    n = len(m)
+    ms = m.copy()
+    ms.flat[:: n + 1] += shift
     ys, vs = deque(maxlen=GAP_EVERY + 1), deque(maxlen=GAP_EVERY + 1)
     try_y = True
     for it in range(MAX_ITERS + 1):
-        mv = m @ v
+        mv = ms @ v
         y = np.einsum("ir,ir->i", mv, v)
         ys.append(y)
         vs.append(v)
         if it % GAP_EVERY == 0:
-            f = y.sum()
+            dual, g = y - shift, None
+            f = dual.sum()
             bar = GAP_TOL * (1.0 + abs(f))
-            dual, g = y, None
             due = try_y and 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar
             if not due and len(ys) == ys.maxlen:
-                rise, last = ys[-2].sum() - ys[-3].sum(), f - ys[-2].sum()
+                rise, last = ys[-2].sum() - ys[-3].sum(), y.sum() - ys[-2].sum()
                 # Aitken: a rise shrinking by last / rise per step has last^2 / (rise - last) to go
                 if last <= 0.0 or (last < rise and last * last <= bar * (rise - last)):
                     xs = np.array(ys)
                     g = _extrapolate(xs)
                     due = g is not None
                     if due:
-                        dual = g @ xs[:-1]
+                        dual = g @ xs[:-1] - shift
             if due:
                 if _certifies(m, dual, f, bar):
                     if g is not None:
@@ -269,8 +273,9 @@ def _ascend(m, v, lam_min):
                     return v, True, it, dual, f
                 try_y = try_y and g is not None
         if it == MAX_ITERS:
+            y = y - shift
             return v, False, it, y, y.sum()
-        v = _power_step(v, mv, y, lam_min, vs[-2] if it >= GAP_EVERY else None)
+        v = _power_step(v, mv, y, vs[-2] if it >= GAP_EVERY else None)
 
 
 EIGH_MAX_N = 128  # largest n whose top eigenvector is found densely; Lanczos above it
@@ -484,19 +489,19 @@ def sdp_estimate(graphs, seed=0):
     _certifies), to be within GAP_TOL (1 + |f|) of the SDP optimum, which
     bounds every labeling's objective; status "converged". An uncertified
     start returns "max_iters". `iterations` counts its ascent steps. No
-    eigensolver runs: the steps' shift is scaled by -2 ||M||_F / sqrt(n),
-    the lower edge of the semicircle that the spectrum of a random M's
-    noise fills (Furedi & Komlos, Combinatorica 1(3), 1981). It estimates
-    M's smallest eigenvalue and does not bound it; a poor estimate costs
-    steps, not correctness.
+    eigensolver runs: the steps' one shift is SHIFT times 2 ||M||_F /
+    sqrt(n), the edge of the semicircle that the spectrum of a random M's
+    noise fills (Furedi & Komlos, Combinatorica 1(3), 1981). It need not
+    make M + shift I positive semidefinite; a poor shift costs steps, not
+    correctness.
     """
     n, m, zero = _objective(graphs)
     if zero:
         labels = random_labels(n, generator(seed, SOLVER, 0))
         return RecoveryResult(canonical(labels), 0.0, "degenerate")
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
-    lam_min = -2.0 * math.sqrt(np.vdot(m, m) / n)
-    v, certified, steps, _, _ = _ascend(m, _solver_start(seed, 0, (n, rank)), lam_min)
+    shift = SHIFT * 2.0 * math.sqrt(np.vdot(m, m) / n)
+    v, certified, steps, _, _ = _ascend(m, _solver_start(seed, 0, (n, rank)), shift)
     labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
     obj = float(labels @ m @ labels)
     return RecoveryResult(canonical(labels), obj, "converged" if certified else "max_iters", steps)

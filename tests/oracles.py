@@ -14,7 +14,7 @@ import numpy as np
 from cbmdetect._rng import PERTURB, SAMPLE, SOLVER, generator, stream
 from cbmdetect.ldp import EPS_IDENTITY
 from cbmdetect.model import FOREIGN, TernaryGraph, canonical, n_pairs, pair_indices
-from cbmdetect.recovery import _ascend, _polish, _signs
+from cbmdetect.recovery import SHIFT, _ascend, _polish, _signs
 
 
 def edge_pmf(w, prod, p, zeta):
@@ -178,9 +178,9 @@ def instability_distances(n, estimator, cap):
     return graphs, out
 
 
-def bulk_edge(m):
-    """sdp_estimate's lambda_min estimate: the semicircle's lower edge -2 ||M||_F / sqrt(n)."""
-    return -2.0 * math.sqrt(np.vdot(m, m) / len(m))
+def ascent_shift(m):
+    """sdp_estimate's shift: SHIFT times the semicircle's edge 2 ||M||_F / sqrt(n)."""
+    return SHIFT * 2.0 * math.sqrt(np.vdot(m, m) / len(m))
 
 
 def sdp_start(m, seed, k=0):
@@ -191,7 +191,8 @@ def sdp_start(m, seed, k=0):
     n = len(m)
     rank = min(max(math.ceil(math.sqrt(2 * n)), 2), n)
     v = generator(seed, SOLVER, k).standard_normal((n, rank))
-    v, certified, steps, _, _ = _ascend(m, v / np.linalg.norm(v, axis=1, keepdims=True), bulk_edge(m))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v, certified, steps, _, _ = _ascend(m, v, ascent_shift(m))
     labels = _polish(m, _signs(np.linalg.svd(v, full_matrices=False)[0][:, 0]))
     return float(labels @ m @ labels), canonical(labels), certified, steps
 

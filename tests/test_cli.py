@@ -334,6 +334,8 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
             "unread ['window']",
         ),
         (lambda c: c["detector"].pop("b"), ("detect", "simulate"), "missing ['b']"),
+        # a misspelt top-level key is refused, not ignored for the default
+        (lambda c: c.update(trails=3), ("detect", "simulate"), "unread ['trails']"),
         # both verbs' default truncation is ceil(50 e^b)
         (
             lambda c: (c.pop("truncation"), c["detector"].update(b=800.0)),
@@ -341,7 +343,9 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
             "explicit truncation",
         ),
     ],
-    ids=["a-and-p", "neither", "post-a-and-p", "ldp-delta", "cdp-window", "no-b", "b-800"],
+    ids=[
+        "a-and-p", "neither", "post-a-and-p", "ldp-delta", "cdp-window", "no-b", "trails", "b-800",
+    ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, edit, verbs, refusal):
     config = json.loads(json.dumps(POST_CONFIG))

@@ -334,6 +334,23 @@ def test_descriptors_refuse_values_of_the_wrong_type(key, value):
         run_delay_trials(ExperimentConfig(scenario=_scenario(), detector=detector, trials=1))
 
 
+@pytest.mark.parametrize(
+    "release, key, bad",
+    [
+        ("stability", "distance_cap", ["2", 1.0, True, -1]),
+        ("subsample", "max_subgraphs", ["5", 5.0, True, 0]),
+    ],
+)
+def test_cdp_counts_refuse_values_that_are_not_counts(release, key, bad):
+    # a quoted cap would otherwise reach the enumeration's comparisons
+    detector = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "release": release}
+    for value in bad:
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            make_runner(_scenario(), {**detector, key: value}, trial_seed=0)
+    # null keeps the default
+    make_runner(_scenario(), {**detector, key: None}, trial_seed=0)
+
+
 def test_delay_reproducible_and_error_series_present():
     detector = {"kind": "LDP", "b": 1.0, "epsilon": 2.0, "estimator": "spectral"}
     sc = _scenario(n=10, nu=1, flips=(0, 1))
