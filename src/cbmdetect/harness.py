@@ -44,7 +44,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -62,6 +61,7 @@ from .detect import (
     ldp_step,
     ldp_stop,
 )
+from .io import CDP_DESCRIPTOR, COUNTS, LDP_DESCRIPTOR, checked
 from .ldp import PrivacyBudget, perturb_graph, perturbed_params
 from .model import ChangeScenario, err, random_labels, sample_cbm, validate_labels
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
@@ -85,14 +85,6 @@ __all__ = [
 PREFETCH_MIN_N = 800
 
 
-def _require(name, value, kind):
-    """value, or a ValueError naming name where it is not a kind (Integral, Real) or is a bool."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an int" if kind is Integral else "a real number"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    return value
-
-
 @dataclass
 class ExperimentConfig:
     """One simulation campaign, whose trial 0 is also `run_trajectory`'s run.
@@ -111,12 +103,7 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "truncation", "parallelism"):
-            value = getattr(self, name)
-            if name == "truncation" and value is None:
-                continue  # the default horizon, see _default_truncation
-            if _require(name, value, Integral) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        checked("experiment", {name: getattr(self, name) for name in COUNTS}, COUNTS)
 
 
 @dataclass
@@ -245,60 +232,30 @@ class _CdpRunner:
         return cdp_stop(self.state, self.rule)
 
 
-_REQUIRED_KEYS = frozenset({"kind", "b", "epsilon"})
-_LDP_KEYS = _REQUIRED_KEYS | {"estimator", "window"}
-_CDP_KEYS = _REQUIRED_KEYS | {
-    "delta", "release", "release_estimator", "distance_cap", "max_subgraphs",
-}
-
-# kind -> (runner, every key a descriptor of that kind reads)
+# kind -> (runner, the table its descriptors are read by)
 _RUNNERS = {
-    "LDP": (_LdpRunner, _LDP_KEYS),
-    "LDP-adaptive": (_LdpRunner, _LDP_KEYS),
-    "CDP": (_CdpRunner, _CDP_KEYS),
+    "LDP": (_LdpRunner, LDP_DESCRIPTOR),
+    "LDP-adaptive": (_LdpRunner, LDP_DESCRIPTOR),
+    "CDP": (_CdpRunner, CDP_DESCRIPTOR),
 }
 
 
 def make_runner(scenario, detector, trial_seed):
-    """Instantiate the stepping object for one trial.
-
-    A descriptor dict needs kind (LDP | LDP-adaptive | CDP), b and epsilon.
-    An LDP or LDP-adaptive one may add estimator and window; a CDP one may
-    add delta and release = assumed | stability | subsample, with
-    release_estimator, distance_cap and max_subgraphs. SDP solves use
-    recovery's fixed settings. A missing required key, a key the kind does
-    not read, a b, epsilon or delta that is not a real number, a window that
-    is not an int (a bool is neither), or a distance_cap or max_subgraphs
-    other than null (its default) or an int of at least 0 or 1 raises
-    ValueError naming it: a misspelt key cannot fall back to a default, nor
-    a key of another kind be ignored, nor a quoted number reach the
-    arithmetic.
-    """
+    """Instantiate the stepping object for one trial: detector is a factory (see
+    ExperimentConfig) or a descriptor dict, which its kind's table in io reads."""
     if callable(detector):
         return detector(scenario, trial_seed)
     return _runner_class(detector)(scenario, detector, trial_seed)
 
 
 def _runner_class(detector):
-    """The runner class for a descriptor, once make_runner's rule has checked it."""
+    """The runner class for a descriptor, once its kind's table has read it."""
     kind = detector.get("kind")
-    if kind not in _RUNNERS:
-        raise ValueError(f"detector kind must be one of {sorted(_RUNNERS)}, got {kind!r}")
-    runner, keys = _RUNNERS[kind]
-    unknown = detector.keys() - keys
-    if unknown or not _REQUIRED_KEYS <= detector.keys():
-        missing = sorted(_REQUIRED_KEYS - detector.keys())
-        raise ValueError(
-            f"{kind} descriptor: missing {missing}, unread {sorted(unknown)} (it needs "
-            f"{sorted(_REQUIRED_KEYS)} and may add {sorted(keys - _REQUIRED_KEYS)})"
-        )
-    for key in ("b", "epsilon", "delta", "window"):
-        if key in detector:
-            _require(key, detector[key], Integral if key == "window" else Real)
-    for key, least in (("distance_cap", 0), ("max_subgraphs", 1)):
-        value = detector.get(key)
-        if value is not None and _require(key, value, Integral) < least:
-            raise ValueError(f"{key} must be >= {least}, got {value!r}")
+    try:
+        runner, table = _RUNNERS[kind]
+    except (KeyError, TypeError):  # TypeError: a kind that cannot be a key
+        raise ValueError(f"detector kind must be one of {sorted(_RUNNERS)}, got {kind!r}") from None
+    checked(f"{kind} descriptor", detector, table)
     return runner
 
 

@@ -11,6 +11,7 @@ byte-identical.
 import json
 import math
 import operator
+from collections import namedtuple
 
 import numpy as np
 
@@ -178,6 +179,68 @@ def write_sweep_csv(rows, path):
             fh.write(",".join(f"{row[c]:.10g}" for c in cols) + "\n")
 
 
+# a JSON object's key: the type groups its value may take, whether it is required, its least
+Key = namedtuple("Key", ["types", "required", "least"], defaults=(False, None))
+
+
+class Table(dict):
+    """key -> Key for one JSON object, with its required keys precomputed."""
+
+    def __init__(self, **keys):
+        super().__init__(keys)
+        self.required = frozenset(key for key, rule in keys.items() if rule.required)
+
+
+# concrete classes: an isinstance on a numbers ABC costs ~0.5 us, and every trial reads a table
+INT, REAL, NULL = (int, np.integer), (float, int, np.floating, np.integer), type(None)
+_TYPE_NAMES = {
+    INT: "an int", REAL: "a number", str: "a string", list: "a list", dict: "an object",
+    NULL: "null",
+}
+
+
+def checked(name, payload, table):
+    """payload, if table reads it in full; else a ValueError naming name and the offending key."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name} must be an object, got {payload!r}")
+    if not table.required <= payload.keys() <= table.keys():
+        missing, unread = table.required - payload.keys(), payload.keys() - table.keys()
+        raise ValueError(
+            f"{name}: missing {sorted(missing)}, unread {sorted(unread)} (it reads {sorted(table)})"
+        )
+    for key, value in payload.items():
+        types, _, least = table[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            what = " or ".join(_TYPE_NAMES[t] for t in types)
+            raise ValueError(f"{name}: {key} must be {what}, got {value!r}")
+        if least is not None and value is not None and value < least:
+            raise ValueError(f"{name}: {key} must be >= {least}, got {value!r}")
+    return payload
+
+
+# The experiment file's tables (README lists them). Other ranges, and defaults, live where
+# the value is used: CbmParams, ChangeScenario, DetectorConfig, PrivacyBudget and harness.
+_COUNT, _HORIZON = Key((INT,), least=1), Key((INT, NULL), least=1)
+COUNTS = Table(trials=_COUNT, truncation=_HORIZON, parallelism=_COUNT)
+EXPERIMENT = Table(
+    scenario=Key((dict,), required=True), detector=Key((dict,)), trials=_COUNT, truncation=_HORIZON
+)
+SCENARIO = Table(
+    n=Key((INT,), required=True), zeta=Key((REAL,), required=True), a=Key((REAL, NULL)),
+    p=Key((REAL, NULL)), pre=Key((str,), required=True), post=Key((str, dict), required=True),
+    nu=Key((INT, str)), post_params=Key((dict, NULL)),
+)
+POST_PARAMS = Table(zeta=Key((REAL,)), a=Key((REAL, NULL)), p=Key((REAL, NULL)))
+FLIP = Table(flip=Key((list,), required=True))
+_KIND, _NUMBER, _NAME = Key((str,), required=True), Key((REAL,), required=True), Key((str,))
+LDP_DESCRIPTOR = Table(kind=_KIND, b=_NUMBER, epsilon=_NUMBER, estimator=_NAME, window=Key((INT,)))
+CDP_DESCRIPTOR = Table(
+    kind=_KIND, b=_NUMBER, epsilon=_NUMBER, delta=Key((REAL,)), release=_NAME,
+    release_estimator=_NAME, distance_cap=Key((INT, NULL), least=0),
+    max_subgraphs=Key((INT, NULL), least=1),
+)
+
+
 def labels_from_config(value, n=None, base=None):
     """Labels from a spec: 'balanced' (needs n), a +- string, or {'flip': [...]} (needs base).
 
@@ -191,11 +254,11 @@ def labels_from_config(value, n=None, base=None):
             half = (n + 1) // 2
             return np.array([1] * half + [-1] * (n - half), dtype=np.int8)
         return parse_labels(value)
-    if isinstance(value, dict) and "flip" in value:
+    if isinstance(value, dict):
         if base is None:
             raise ValueError("flip specification needs pre labels")
-        flips, size = value["flip"], len(base)
-        valid = isinstance(flips, list) and all(type(i) is int and 0 <= i < size for i in flips)
+        flips, size = checked("flip spec", value, FLIP)["flip"], len(base)
+        valid = all(type(i) is int and 0 <= i < size for i in flips)
         if not valid or len(set(flips)) != len(flips):
             raise ValueError(f"flip needs distinct node indices in [0, {size}), got {flips!r}")
         out = base.copy()
@@ -214,33 +277,24 @@ def params_from_config(n, zeta, a=None, p=None):
 
 
 def scenario_from_config(payload):
-    """Build a ChangeScenario from a JSON payload.
+    """A ChangeScenario from a scenario object, which the SCENARIO table reads (see README)."""
+    return _scenario(**checked("scenario", payload, SCENARIO))
 
-    Expected keys: n, zeta, and exactly one of p and a; pre ('balanced' or
-    a +- string); post (a +- string or {'flip': [indices]}); nu (integer or
-    'inf'); optional post_params {p or a, zeta} when the law changes too.
-    """
-    n = payload["n"]
-    zeta = payload["zeta"]
-    params_pre = params_from_config(n, zeta, payload.get("a"), payload.get("p"))
-    pre = labels_from_config(payload["pre"], n=n)
-    post = labels_from_config(payload["post"], n=n, base=pre)
-    nu = payload.get("nu", 1)
-    if nu == "inf":
-        nu = math.inf
-    post_payload = payload.get("post_params")
-    if post_payload is None:
-        params_post = params_pre
-    else:
-        params_post = params_from_config(
-            n, post_payload.get("zeta", zeta), post_payload.get("a"), post_payload.get("p")
-        )
+
+def _scenario(n, zeta, pre, post, nu=1, a=None, p=None, post_params=None):
+    params_pre = params_post = params_from_config(n, zeta, a, p)
+    if post_params is not None:
+        given = checked("post_params", post_params, POST_PARAMS)
+        params_post = params_from_config(n, **{"zeta": zeta, **given})
+    pre = labels_from_config(pre, n=n)
+    post = labels_from_config(post, n=n, base=pre)
+    nu = math.inf if nu == "inf" else nu
     return ChangeScenario(
         pre=pre, post=post, nu=nu, params_pre=params_pre, params_post=params_post
     )
 
 
 def load_experiment_json(path):
-    """Raw experiment payload: scenario config plus detector/trials fields."""
+    """The experiment file's object, once the EXPERIMENT table has read its top level."""
     with open(path) as fh:
-        return json.load(fh)
+        return checked("experiment file", json.load(fh), EXPERIMENT)

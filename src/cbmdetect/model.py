@@ -123,8 +123,8 @@ class CbmParams:
     zeta: float
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"n must be an int >= 2, got {self.n!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p} outside [0, 1]")
         if not 0.0 < self.zeta < 0.5:
@@ -148,8 +148,8 @@ class TernaryGraph:
     upper: np.ndarray
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValueError("n must be an integer >= 2")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
+            raise ValueError(f"n must be an int >= 2, got {self.n!r}")
         arr = np.asarray(self.upper)
         if arr.shape != (n_pairs(self.n),):
             raise ValueError(
@@ -317,8 +317,8 @@ class ChangeScenario:
             post = -post
         self.post = post
         if self.nu != math.inf:
-            if int(self.nu) != self.nu or self.nu < 1:
-                raise ValueError("nu must be an integer >= 1 or math.inf")
+            if isinstance(self.nu, (bool, str)) or int(self.nu) != self.nu or self.nu < 1:
+                raise ValueError(f"nu must be an integer >= 1 or inf, got {self.nu!r}")
             self.nu = int(self.nu)
         if self.params_pre.n != n or self.params_post.n != n:
             raise ValueError("params and labels disagree on n")

@@ -342,9 +342,25 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
             ("detect", "simulate"),
             "explicit truncation",
         ),
+        # each once ran, crashed or was read as something else
+        (lambda c: c["scenario"].update(n=10.0), ("detect", "simulate"), "n must be an int"),
+        (lambda c: c["scenario"].update(nu=2.0), ("detect", "simulate"), "nu must be an int"),
+        (lambda c: c["scenario"].update(extra=1), ("detect", "simulate"), "unread ['extra']"),
+        (
+            lambda c: c["scenario"].update(post={"flip": [0], "x": 1}),
+            ("detect", "simulate"),
+            "unread ['x']",
+        ),
+        (
+            lambda c: c["scenario"].update(post_params={"p": 0.8, "zetta": 0.2}),
+            ("detect", "simulate"),
+            "unread ['zetta']",
+        ),
+        (lambda c: c["scenario"].pop("n"), ("detect", "simulate"), "missing ['n']"),
     ],
     ids=[
         "a-and-p", "neither", "post-a-and-p", "ldp-delta", "cdp-window", "no-b", "trails", "b-800",
+        "n-float", "nu-float", "scenario-extra", "flip-extra", "zetta", "no-n",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, edit, verbs, refusal):
@@ -401,7 +417,10 @@ def test_simulate_refuses_bad_flip_spec(tmp_path, capsys, flip):
 def test_zero_trials_or_truncation_exit_two(tmp_path, capsys):
     # a flag of 0 is refused, not replaced by the config's value
     path = _write_config(tmp_path)
-    for verb, flag in (("simulate", "--trials"), ("simulate", "--truncation"), ("detect", "--truncation")):
+    for verb, flag in (
+        ("simulate", "--trials"), ("simulate", "--truncation"), ("detect", "--truncation"),
+        ("simulate", "--parallelism"),
+    ):
         assert main([verb, "--config", path, flag, "0", "--seed", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 

@@ -201,7 +201,7 @@ def test_scenario_from_config_strings_and_inf():
 
 def test_scenario_from_config_rejects_junk():
     base = {"n": 4, "p": 0.5, "zeta": 0.2, "pre": "++--", "post": "+---", "nu": 1}
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=r"scenario: missing \['zeta'\]"):
         scenario_from_config({k: v for k, v in base.items() if k != "zeta"})
     with pytest.raises(ValueError):
         scenario_from_config(dict(base, post={"swap": [1]}))

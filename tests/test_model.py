@@ -124,6 +124,25 @@ def test_params_validation():
         CbmParams(n=1, p=0.5, zeta=0.1)
 
 
+@pytest.mark.parametrize(
+    "n", [10.0, True, "10", np.float64(10.0)], ids=["float", "bool", "str", "float64"]
+)
+def test_params_refuse_a_node_count_that_is_not_an_int(n):
+    # 10.0 once passed here and failed later in sample_cbm with a TypeError
+    with pytest.raises(ValueError, match="n must be an int"):
+        CbmParams(n=n, p=0.5, zeta=0.1)
+    assert CbmParams(n=np.int64(10), p=0.5, zeta=0.1).n == 10
+
+
+@pytest.mark.parametrize("n", [4.0, True, np.float64(4.0)], ids=["float", "bool", "float64"])
+def test_graph_refuses_a_node_count_that_is_not_an_int(n):
+    # 4.0 once passed here and failed later in dense() with a TypeError
+    upper = np.zeros(n_pairs(4), dtype=np.int8)
+    with pytest.raises(ValueError, match="n must be an int"):
+        TernaryGraph(n, upper)
+    assert TernaryGraph(np.int64(4), upper).dense().shape == (4, 4)
+
+
 def test_params_from_scale():
     params = CbmParams.from_scale(50, 5.0, 0.1)
     assert math.isclose(params.p, 5.0 * math.log(50) / 50)
@@ -333,3 +352,12 @@ def test_scenario_rejects_bad_nu():
     for nu in (0, 2.5, -3):
         with pytest.raises(ValueError):
             ChangeScenario(pre=pre, post=pre, nu=nu, params_pre=params, params_post=params)
+
+
+@pytest.mark.parametrize("nu", [True, False, "3", "inf"])
+def test_scenario_refuses_a_bool_or_string_nu(nu):
+    # True once became nu = 1; a string names no change time (io reads "inf" first)
+    pre = np.array([1, -1], dtype=np.int8)
+    params = CbmParams(n=2, p=0.5, zeta=0.1)
+    with pytest.raises(ValueError, match="nu must be"):
+        ChangeScenario(pre=pre, post=pre, nu=nu, params_pre=params, params_post=params)
