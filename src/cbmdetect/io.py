@@ -8,6 +8,7 @@ t = 0. Writers emit rows in sorted order so write -> read -> write is
 byte-identical.
 """
 
+import contextlib
 import json
 import math
 import operator
@@ -17,6 +18,7 @@ import numpy as np
 
 from .model import (
     CbmParams, ChangeScenario, TernaryGraph, n_pairs, pair_indices, pair_pos, parse_labels,
+    validate_labels,
 )
 
 
@@ -268,11 +270,16 @@ def labels_from_config(value, n=None, base=None):
 
 
 def params_from_config(n, zeta, a=None, p=None):
-    """CbmParams from exactly one of a (p = a ln(n)/n) and p; both or neither raise ValueError."""
+    """CbmParams from exactly one of a (p = a ln(n)/n) and p; both or neither raise ValueError.
+
+    An a whose p is not a probability is refused by name, not by the p it gives.
+    """
     if (a is None) == (p is None):
         raise ValueError(f"give exactly one of a or p, got a={a!r} and p={p!r}")
     if a is not None:
-        return CbmParams.from_scale(n, a, zeta)
+        p = a * math.log(n) / n
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"a={a!r} puts p = a ln(n)/n = {p:.4g} outside [0, 1]")
     return CbmParams(n=n, p=p, zeta=zeta)
 
 
@@ -281,13 +288,26 @@ def scenario_from_config(payload):
     return _scenario(**checked("scenario", payload, SCENARIO))
 
 
+@contextlib.contextmanager
+def _naming(key):
+    """Re-raise a ValueError from the block with key in front, so a refusal says what to fix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def _scenario(n, zeta, pre, post, nu=1, a=None, p=None, post_params=None):
-    params_pre = params_post = params_from_config(n, zeta, a, p)
+    with _naming("scenario"):
+        params_pre = params_post = params_from_config(n, zeta, a, p)
     if post_params is not None:
         given = checked("post_params", post_params, POST_PARAMS)
-        params_post = params_from_config(n, **{"zeta": zeta, **given})
-    pre = labels_from_config(pre, n=n)
-    post = labels_from_config(post, n=n, base=pre)
+        with _naming("post_params"):
+            params_post = params_from_config(n, **{"zeta": zeta, **given})
+    with _naming("scenario.pre"):
+        pre = validate_labels(labels_from_config(pre, n=n), n)
+    with _naming("scenario.post"):
+        post = validate_labels(labels_from_config(post, n=n, base=pre), n)
     nu = math.inf if nu == "inf" else nu
     return ChangeScenario(
         pre=pre, post=post, nu=nu, params_pre=params_pre, params_post=params_post

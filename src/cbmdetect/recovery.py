@@ -11,17 +11,16 @@ how soon it passes. Both proofs in the module
 rest on one helper (_proves_psd): one Cholesky factorization, its diagonal
 shifted to cover its rounding and the caller's (Rump), proves a matrix
 positive semidefinite in exact arithmetic. The gap certificate is weak
-duality at the ascent's own dual or at one extrapolated from its recent
-steps, which proves the gap long before the first-order dual can; the
-helper proves the bound's lambda_max. Up to n = EIGH_MAX_N the
-eigenvector's signs are proved: a Davis-Kahan bound turns a proved gap
-below a candidate vector's Rayleigh quotient into its signs, and the helper
-proves the gap from a rank-one deflation of M. The candidates are rows of
-a few squarings of M^2 (n <= SQUARING_MAX_N), then one linear solve at
-eigvalsh's lambda_1; `eigh` decides where none is proved. Above
-EIGH_MAX_N they come from Lanczos, started from a seeded Gaussian or, given
-a `start` such as a detector's running estimate, from it plus a hundredth
-of that Gaussian. Lanczos runs in two phases: on an exact float32 copy of
+duality at a dual extrapolated from the ascent's recent steps, which proves
+the gap long before the ascent's own first-order dual can; the helper
+proves the bound's lambda_max. Up to n = EIGH_MAX_N the eigenvector's
+signs are proved: a Davis-Kahan bound turns a proved gap below a candidate
+vector's Rayleigh quotient into its signs, and the helper proves the gap
+from a rank-one deflation of M. The candidates are rows of a few squarings
+of M^2; `eigh` decides where none is proved. Above EIGH_MAX_N the vector
+comes from Lanczos, started from a seeded Gaussian or, given a `start` such
+as a detector's running estimate, from it plus a hundredth of that
+Gaussian. Lanczos runs in two phases: on an exact float32 copy of
 M to the residual float32 can reach, then on M itself in float64 from that
 vector to RITZ_TOL, so its status is a float64 bound. Its basis grows with
 the steps taken; no call allocates a fresh n x n float64 array. The proofs
@@ -31,7 +30,7 @@ passes one solver seed at every step. Each status says whether its solver
 met its bound. All return canonical labels (first entry +1). The solvers'
 settings are the module constants GAP_EVERY, GAP_TOL, MAX_ITERS, MOMENTUM,
 SHIFT, EIGH_MAX_N, RITZ_TOL, RITZ_EVERY, RITZ_TOL32, F32_STEPS_DIVISOR,
-LANCZOS_BLOCK, SQUARING_MAX_N, SIGN_TRIES and SIGN_GAP.
+LANCZOS_BLOCK, SIGN_TRIES and SIGN_GAP.
 """
 
 import functools
@@ -222,22 +221,21 @@ def _certifies(m, dual, f, bar):
 def _ascend(m, v, shift):
     """(V, certified, steps, y, f): power ascent of the n x rank block V on M + shift I.
 
-    Every GAP_EVERY steps it tries to prove f = sum y, with y_i = <(M V)_i,
-    v_i>, within GAP_TOL (1 + |f|) of the SDP optimum. For every dual y' and
-    every feasible Y, tr(M Y) <= sum y' + n lambda_max(M - Diag(y'))+, so it
-    stops once that bound is within the bar of f. y' = y is tried once the
-    Riemannian gradient meets the bar, until its bound first fails. y is
-    accurate to first order only, so otherwise y' is the MPE extrapolation
+    Every GAP_EVERY steps from step GAP_EVERY on, it tries to prove f = sum
+    y, with y_i = <(M V)_i, v_i>, within GAP_TOL (1 + |f|) of the SDP
+    optimum. For every dual y' and every feasible Y, tr(M Y) <= sum y' + n
+    lambda_max(M - Diag(y'))+, so it stops once that bound is within the bar
+    of f. y is accurate to first order only, so y' is the MPE extrapolation
     (_extrapolate) of y over the last GAP_EVERY + 1 steps, which is much
-    closer to the optimal dual; it is tried once an Aitken estimate of f's
-    remaining rise is within the bar. The bound is proved, not computed: at
-    most one Cholesky factorization (_certifies) runs per check, about a
-    quarter of an eigvalsh, and it passes only if the bound holds in exact
-    arithmetic for the computed y' and f. A block certified by an
-    extrapolated y' is the same extrapolation of V, rows renormalized; else V
-    is the current block. y and f are the certificate's dual and objective,
-    or the current ones if none passed. The steps (_power_step) multiply by
-    one shifted copy of M made per call, so the rows' history is kept as y +
+    closer to the optimal dual; it is tried once the Riemannian gradient
+    meets the bar or an Aitken estimate of f's remaining rise is within it.
+    The bound is proved, not computed: at most one Cholesky factorization
+    (_certifies) runs per check, about a quarter of an eigvalsh, and it
+    passes only if the bound holds in exact arithmetic for the computed y'
+    and f. A certified block is the same extrapolation of V, rows
+    renormalized, returned with y' and f; an uncertified one is the current
+    block with the current y and f. The steps (_power_step) multiply by one
+    shifted copy of M made per call, so the rows' history is kept as y +
     shift, their scales; shift comes off at a gap check and in the y
     returned. From step GAP_EVERY on the steps carry the heavy-ball term, so
     a block certified at the first check has taken plain shifted steps only.
@@ -246,32 +244,25 @@ def _ascend(m, v, shift):
     ms = m.copy()
     ms.flat[:: n + 1] += shift
     ys, vs = deque(maxlen=GAP_EVERY + 1), deque(maxlen=GAP_EVERY + 1)
-    try_y = True
     for it in range(MAX_ITERS + 1):
         mv = ms @ v
         y = np.einsum("ir,ir->i", mv, v)
         ys.append(y)
         vs.append(v)
-        if it % GAP_EVERY == 0:
-            dual, g = y - shift, None
-            f = dual.sum()
+        if it % GAP_EVERY == 0 and len(ys) == ys.maxlen:
+            f = (y - shift).sum()
             bar = GAP_TOL * (1.0 + abs(f))
-            due = try_y and 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar
-            if not due and len(ys) == ys.maxlen:
-                rise, last = ys[-2].sum() - ys[-3].sum(), y.sum() - ys[-2].sum()
-                # Aitken: a rise shrinking by last / rise per step has last^2 / (rise - last) to go
-                if last <= 0.0 or (last < rise and last * last <= bar * (rise - last)):
-                    xs = np.array(ys)
-                    g = _extrapolate(xs)
-                    due = g is not None
-                    if due:
-                        dual = g @ xs[:-1] - shift
-            if due:
-                if _certifies(m, dual, f, bar):
-                    if g is not None:
+            rise, last = ys[-2].sum() - ys[-3].sum(), y.sum() - ys[-2].sum()
+            # Aitken: a rise shrinking by last / rise per step has last^2 / (rise - last) to go
+            aitken = last <= 0.0 or (last < rise and last * last <= bar * (rise - last))
+            if aitken or 2.0 * np.linalg.norm(mv - y[:, None] * v) <= bar:
+                xs = np.array(ys)
+                g = _extrapolate(xs)
+                if g is not None:
+                    dual = g @ xs[:-1] - shift
+                    if _certifies(m, dual, f, bar):
                         v = _rownormalize(sum(gj * vj for gj, vj in zip(g, vs)), v)
-                    return v, True, it, dual, f
-                try_y = try_y and g is not None
+                        return v, True, it, dual, f
         if it == MAX_ITERS:
             y = y - shift
             return v, False, it, y, y.sum()
@@ -279,13 +270,11 @@ def _ascend(m, v, shift):
 
 
 EIGH_MAX_N = 128  # largest n whose top eigenvector is found densely; Lanczos above it
-# Ritz residual bound, relative to max(1, |theta|); also the dense path's shift past theta
-RITZ_TOL = 1e-10
+RITZ_TOL = 1e-10  # Lanczos's Ritz residual bound, relative to max(1, |theta|)
 RITZ_EVERY = 5  # Lanczos steps between Ritz-pair checks
 RITZ_TOL32 = 1e-6  # the float32 Lanczos phase's Ritz residual bound, relative as RITZ_TOL
 F32_STEPS_DIVISOR = 4  # the float32 phase takes at most n // F32_STEPS_DIVISOR steps
 LANCZOS_BLOCK = 32  # Lanczos basis rows allocated first; the basis doubles as it fills
-SQUARING_MAX_N = 96  # largest n whose signs come from squaring first; eigvalsh first above it
 SIGN_TRIES = (3, 5, 7)  # squarings of M^2 after which the sign proof is tried
 SIGN_GAP = 0.05  # a try factors only if the gap it must prove is below this share of tau
 
@@ -340,54 +329,41 @@ def _sign_proof(m, x, norm_m):
 def _dense_candidates(m):
     """(x, norm_m): unit vectors for _sign_proof, cheapest first, with norm_m >= ||m||_F.
 
-    Up to n = SQUARING_MAX_N, repeated squaring of m^2 / ||m||_F^2, each
-    square divided by its trace, gives m^(2^(k + 1)) up to scale after k
-    squarings: a power iteration whose every step squares the ratio
-    |lambda_i| / max |lambda|. Its row with the largest diagonal entry is a
-    candidate after each count of squarings in SIGN_TRIES; above that size
-    its products cost more than eigvalsh. The last candidate is one step of
-    inverse iteration (Parlett, The Symmetric Eigenvalue Problem, ch. 4):
-    one LU solve of ((theta + tol) I - m) x = (1, ..., n), theta eigvalsh's
-    lambda_1 and tol = RITZ_TOL max(1, |theta|); nothing is drawn. norm_m
-    is sqrt(tr m^2) from the squaring, or else the root of the sum of m's
-    n^2 squared entries, padded by n eps or n^2 eps, each above the
-    relative rounding error of the sum under the root.
+    Repeated squaring of m^2 / ||m||_F^2, each square divided by its trace,
+    gives m^(2^(k + 1)) up to scale after k squarings: a power iteration
+    whose every step squares the ratio |lambda_i| / max |lambda|. Its row
+    with the largest diagonal entry is a candidate after each count of
+    squarings in SIGN_TRIES; nothing is drawn. norm_m is sqrt(tr m^2),
+    padded by n eps, above the relative rounding error of the trace. A zero
+    m yields none.
     """
     n = len(m)
-    if n <= SQUARING_MAX_N:
-        b = m @ m
-        trace = b.trace()
-        norm_m = math.sqrt(trace) * (1.0 + n * EPS)
-        b *= 1.0 / trace
-        for k in range(1, SIGN_TRIES[-1] + 1):
-            b = b @ b
-            b *= 1.0 / b.trace()
-            if k in SIGN_TRIES:
-                x = b[b.diagonal().argmax()]
-                yield x * (1.0 / math.sqrt(x @ x)), norm_m
-    else:
-        norm_m = math.sqrt(np.vdot(m, m)) * (1.0 + n * n * EPS)
-    theta = np.linalg.eigvalsh(m)[-1]
-    a = np.negative(m)
-    a.flat[:: n + 1] += theta + RITZ_TOL * max(1.0, abs(theta))
-    x = np.linalg.solve(a, np.arange(1.0, n + 1.0))
-    x /= math.sqrt(x @ x)
-    yield x, norm_m
+    b = m @ m
+    trace = b.trace()
+    if trace == 0.0:
+        return
+    norm_m = math.sqrt(trace) * (1.0 + n * EPS)
+    b *= 1.0 / trace
+    for k in range(1, SIGN_TRIES[-1] + 1):
+        b = b @ b
+        b *= 1.0 / b.trace()
+        if k in SIGN_TRIES:
+            x = b[b.diagonal().argmax()]
+            yield x * (1.0 / math.sqrt(x @ x)), norm_m
 
 
 def _dense_top_eigenvector(m):
     """Vector with the entrywise signs of symmetric m's top eigenvector v.
 
     The first of _dense_candidates whose signs _sign_proof proves, else the
-    last column of eigh(m), as where lambda_1 is repeated or an entry of v
-    is at or near zero. An m with an all-zero row goes to eigh directly:
-    its isolated node is an exact zero of v whenever lambda_1 > 0, so no
-    proof could pass.
+    last column of eigh(m), as where lambda_1 is repeated, |lambda_n| =
+    lambda_1, or an entry of v is at or near zero. An isolated node is an
+    exact zero of v whenever lambda_1 > 0, and of every squared row, so no
+    proof passes there.
     """
-    if m.any(axis=1).all():
-        for x, norm_m in _dense_candidates(m):
-            if _sign_proof(m, x, norm_m) is not None:
-                return x
+    for x, norm_m in _dense_candidates(m):
+        if _sign_proof(m, x, norm_m) is not None:
+            return x
     return np.linalg.eigh(m)[1][:, -1]
 
 
@@ -481,19 +457,19 @@ def sdp_estimate(graphs, seed=0):
 
     It ascends an n x rank block V (rank ceil(sqrt(2n)), at most n; Boumal,
     Voroninski & Bandeira, arXiv:1606.04970) from generator(seed, SOLVER, 0)
-    until its certificate (see _ascend: weak duality at the ascent's dual or
-    at its extrapolation) passes or MAX_ITERS steps have run, then rounds by
-    the sign of the top left singular vector of the block (the extrapolated
-    one where the extrapolated dual certified it) and polishes with single
-    flips. A certified ascent value f is proved, rounding included (see
-    _certifies), to be within GAP_TOL (1 + |f|) of the SDP optimum, which
-    bounds every labeling's objective; status "converged". An uncertified
-    start returns "max_iters". `iterations` counts its ascent steps. No
-    eigensolver runs: the steps' one shift is SHIFT times 2 ||M||_F /
-    sqrt(n), the edge of the semicircle that the spectrum of a random M's
-    noise fills (Furedi & Komlos, Combinatorica 1(3), 1981). It need not
-    make M + shift I positive semidefinite; a poor shift costs steps, not
-    correctness.
+    until its certificate (see _ascend: weak duality at a dual extrapolated
+    from its recent steps) passes or MAX_ITERS steps have run, then rounds
+    by the sign of the top left singular vector of the block (the same
+    extrapolation of the ascent's blocks where it certified) and polishes
+    with single flips. A certified ascent value f is proved, rounding
+    included (see _certifies), to be within GAP_TOL (1 + |f|) of the SDP
+    optimum, which bounds every labeling's objective; status "converged".
+    An uncertified start returns "max_iters". `iterations` counts its
+    ascent steps. No eigensolver runs: the steps' one shift is SHIFT times
+    2 ||M||_F / sqrt(n), the edge of the semicircle that the spectrum of a
+    random M's noise fills (Furedi & Komlos, Combinatorica 1(3), 1981). It
+    need not make M + shift I positive semidefinite; a poor shift costs
+    steps, not correctness.
     """
     n, m, zero = _objective(graphs)
     if zero:
@@ -512,8 +488,7 @@ def spectral_estimate(graphs, seed=0, start=None):
 
     Up to n = EIGH_MAX_N they are those of the first candidate vector whose
     signs one Cholesky factorization proves (rows of repeated squarings of
-    M^2 for n <= SQUARING_MAX_N, then one linear solve at M's top
-    eigenvalue), or of `np.linalg.eigh(M)` where none is proved (see
+    M^2), or of `np.linalg.eigh(M)` where none is proved (see
     _dense_top_eigenvector): status "converged" (LAPACK raises if it
     fails), iterations 0, and nothing is drawn. Above EIGH_MAX_N, Lanczos
     runs from a seeded Gaussian start, first on a float32 copy of M, then on

@@ -119,6 +119,28 @@ def test_a_file_without_a_detector_takes_every_key_from_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "where, key, value, named",
+    [
+        ("scenario", "post", "+-+", "scenario.post: expected 10 labels, got 3"),
+        ("scenario", "pre", "+*+-------", "scenario.pre: labels may only contain + and -"),
+        ("scenario", "pre", "+-", "scenario.pre: expected 10 labels, got 2"),
+        ("scenario", "a", -1.0, "scenario: a=-1.0 puts p"),
+        ("post_params", "a", -1.0, "post_params: a=-1.0 puts p"),
+    ],
+    ids=["post-length", "pre-alphabet", "pre-length", "a-negative", "post-a-negative"],
+)
+def test_scenario_values_out_of_range_are_refused_by_key(
+    tmp_path, capsys, where, key, value, named
+):
+    # types pass the tables; the range checks behind them name the key too
+    config = _full("LDP")
+    _objects(config)[where][1][key] = value
+    for verb in ("detect", "simulate"):
+        assert _run(tmp_path, config, verb) == 2
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "payload", [[1], 3, "scenario", None], ids=["list", "number", "string", "null"]
 )
 def test_a_file_that_is_not_an_object_exits_two(tmp_path, capsys, payload):

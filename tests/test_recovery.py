@@ -461,7 +461,7 @@ def test_dense_top_eigenvector_has_eigh_signs(graph):
 @pytest.mark.parametrize("n", [50, 100, EIGH_MAX_N])
 @pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
 def test_spectral_dense_path_has_eigh_signs(n, a):
-    # at a = 1 most n = 50 draws are decided by the inverse-iteration candidate
+    # at a = 1 and 2 most draws are decided by eigh, no squared row being proved
     for seed in range(8):
         g = _perturbed_draw(n, a, seed)
         result = spectral_estimate(g, seed=0)
@@ -491,26 +491,25 @@ def _count_dense_path(monkeypatch, counted, solvers=("eigh", "eigvalsh")):
     monkeypatch.setattr(recovery, "_sign_proof", proving)
 
 
-# the dense paths of a graph not sent to eigh: a squared row proved after k
-# failed tries, or every try failed and eigvalsh's inverse-iteration candidate proved
+# the dense paths: a squared row proved after k failed tries, or every try
+# failed and eigh decided
 TRIES = len(recovery.SIGN_TRIES)
 PROVED_PATHS = [["unproved"] * k + ["proved"] for k in range(TRIES)]
-PROVED_PATHS.append(["unproved"] * TRIES + ["eigvalsh", "proved"])
+EIGH_PATH = ["unproved"] * TRIES + ["eigh"]
 
 
 @pytest.mark.parametrize(
-    "make, eigh_calls",
+    "make, paths",
     [
-        (lambda seed: _perturbed_draw(50, 5.0, seed), 0),
-        (lambda seed: _isolate_node_0(_perturbed_draw(50, 5.0, seed)), 1),
-        (lambda seed: _planted(8, seed)[0], 0),
+        (lambda seed: _perturbed_draw(50, 5.0, seed), PROVED_PATHS + [EIGH_PATH]),
+        (lambda seed: _isolate_node_0(_perturbed_draw(50, 5.0, seed)), [EIGH_PATH]),
+        (lambda seed: _planted(8, seed)[0], PROVED_PATHS),
     ],
     ids=["n50-a5", "n50-isolated-node", "n8-planted"],
 )
-def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make, eigh_calls):
-    # a graph sent to eigh costs no squaring, proof, eigvalsh call or solve
-    # first; every other graph is squared, eigvalsh runs only where no
-    # squared row is proved, and eigh only where no candidate is
+def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make, paths):
+    # every graph is squared, and eigh runs only where no squared row is
+    # proved, as on a graph with an isolated node (an exact zero in v)
     graphs = [make(seed) for seed in range(10)]
     want = [_eigh_signs(g.dense()) for g in graphs]
     counted = []
@@ -518,10 +517,7 @@ def test_spectral_calls_eigh_only_where_the_signs_are_in_doubt(monkeypatch, make
     for g, eigh_labels in zip(graphs, want):
         counted.clear()
         assert np.array_equal(spectral_estimate(g, seed=0).labels, eigh_labels)
-        if eigh_calls:
-            assert counted == ["eigh"]
-        else:
-            assert counted in PROVED_PATHS
+        assert counted in paths
 
 
 def test_raw_n50_draws_never_reach_eigvalsh(monkeypatch):
@@ -536,29 +532,30 @@ def test_raw_n50_draws_never_reach_eigvalsh(monkeypatch):
         result = spectral_estimate(g, seed=0)
         assert (result.status, result.iterations) == ("converged", 0)
         assert np.array_equal(result.labels, eigh_labels)
-        assert counted in PROVED_PATHS[:TRIES]
+        assert counted in PROVED_PATHS
 
 
-@pytest.mark.parametrize("n, squared", [(recovery.SQUARING_MAX_N, True), (recovery.SQUARING_MAX_N + 1, False)])
-def test_squaring_runs_only_up_to_its_size(monkeypatch, n, squared):
-    # above SQUARING_MAX_N its products cost more than eigvalsh, which runs first
+@pytest.mark.parametrize("n", [96, 97, EIGH_MAX_N])
+def test_squaring_runs_at_every_dense_size(monkeypatch, n):
+    # no size switch: a raw draw's first squared row is proved up to EIGH_MAX_N
     g = sample_cbm(CbmParams.from_scale(n, 5.0, 0.1), _halves(n), seed=3)
     want = _eigh_signs(g.dense())
     counted = []
     _count_dense_path(monkeypatch, counted)
     assert np.array_equal(spectral_estimate(g, seed=0).labels, want)
-    assert counted == (["proved"] if squared else ["eigvalsh", "proved"])
+    assert counted == ["proved"]
 
 
 @st.composite
 def sign_proof_cases(draw):
-    """(M, hard): a sum of 1-3 ternary graphs, planted or not, n on both sides of SQUARING_MAX_N.
+    """(M, hard): a sum of 1-3 ternary graphs, planted or not, n small or near EIGH_MAX_N.
 
-    The hard cases: two disjoint copies (a repeated lambda_1) and a zero
-    row, which no proof may pass, and the bipartite double cover [[0, A],
-    [A, 0]] (|lambda_n| = lambda_1), which no squared row may.
+    The hard cases, which no proof may pass: two disjoint copies (a
+    repeated lambda_1), a zero row, and the bipartite double cover [[0, A],
+    [A, 0]] (|lambda_n| = lambda_1), whose squares cannot tell lambda_1 from
+    lambda_n.
     """
-    n = draw(st.one_of(st.integers(3, 60), st.integers(recovery.SQUARING_MAX_N - 8, EIGH_MAX_N)))
+    n = draw(st.one_of(st.integers(3, 60), st.integers(EIGH_MAX_N - 40, EIGH_MAX_N)))
     hard = draw(st.sampled_from([None, None, "repeated", "bipartite", "zero row"]))
     size = n // 2 if hard in ("repeated", "bipartite") else n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -589,13 +586,12 @@ def test_every_dense_candidate_proof_holds_where_it_passes(case):
         return
     n = len(m)
     candidates = list(recovery._dense_candidates(m))
-    assert len(candidates) == (len(recovery.SIGN_TRIES) if n <= recovery.SQUARING_MAX_N else 0) + 1
+    assert len(candidates) == len(recovery.SIGN_TRIES)
     lam = np.linalg.eigvalsh(m)
-    for k, (x, norm_m) in enumerate(candidates):
+    for x, norm_m in candidates:
         assert norm_m >= np.linalg.norm(m)
         mu = recovery._sign_proof(m, x, norm_m)
-        squared = k < len(candidates) - 1
-        if hard in ("repeated", "zero row") or (hard == "bipartite" and squared):
+        if hard is not None:
             assert mu is None
         elif mu is not None:
             # eigvalsh's own rounding is about n eps ||M||_F

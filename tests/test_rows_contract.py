@@ -3,7 +3,8 @@
 Each benchmark workload's shape (perfbench/workloads.py) runs the first
 CALLS campaign calls of its quota at seeds 0-3, each call seeded as
 perfbench/run.py seeds it, and the per-call rows are hashed as run.py's
-`quota_rows_sha256` hashes them. The digests must equal those in
+`quota_rows_sha256` hashes them. One shape and seed also hash calls CALLS
+to LONG_CALLS - 1 as one more digest. The digests must equal those in
 row_digests.json, which also records the numpy version they were taken on.
 
 NumPy keeps its bit generators stable across versions but not every
@@ -31,6 +32,10 @@ from cbmdetect import (
 RECORD = Path(__file__).with_name("row_digests.json")
 SEEDS = range(4)
 CALLS = 3
+# the SDP ascent moves rows only on some calls: at seed 3 a SHIFT = 0.5 mutant
+# of recovery first moves call 43, a GAP_TOL = 1e-2 one call 5; calls 0-2 at
+# seeds 0-3 see neither
+LONG_SHAPE, LONG_SEED, LONG_CALLS = "delay-sdp-n50", 3, 44
 LOG_1000 = math.log(1000.0)
 
 
@@ -58,8 +63,8 @@ def _call_seed(seed, call):
     return int(np.random.SeedSequence(seed, spawn_key=(call,)).generate_state(1)[0])
 
 
-def _calls(name, seed):
-    """Rows of the shape's first CALLS quota calls at seed, one list per call."""
+def _calls(name, seed, calls=range(CALLS)):
+    """Rows of the shape's quota calls at seed, the first CALLS by default, one list per call."""
     n, a, nu, detector, trials = SHAPES[name]
     pre = np.array([1] * (n // 2) + [-1] * (n - n // 2), dtype=np.int8)
     post = pre.copy()
@@ -67,19 +72,23 @@ def _calls(name, seed):
     params = CbmParams.from_scale(n, a, 0.1)
     scenario = ChangeScenario(pre=pre, post=post, nu=nu, params_pre=params, params_post=params)
     campaign = run_arl_trials if nu == math.inf else run_delay_trials
-    calls = []
+    rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the assumed release is not private
-        for call in range(CALLS):
+        for call in calls:
             cfg = ExperimentConfig(
                 scenario, dict(detector), trials=trials, truncation=60, seed=_call_seed(seed, call)
             )
-            calls.append(campaign(cfg).rows)
-    return calls
+            rows.append(campaign(cfg).rows)
+    return rows
 
 
 def _digest(calls):
     return hashlib.sha256(json.dumps(calls, sort_keys=True).encode()).hexdigest()
+
+
+def _long_digest():
+    return _digest(_calls(LONG_SHAPE, LONG_SEED, range(CALLS, LONG_CALLS)))
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +112,8 @@ def test_seeded_rows_match_the_recorded_digests(rows):
         for seed, calls in by_seed.items()
         if record["digests"][name][seed] != _digest(calls)
     ]
+    if record["long"][LONG_SHAPE][str(LONG_SEED)] != _long_digest():
+        moved.append(f"{LONG_SHAPE} seed {LONG_SEED} calls {CALLS}-{LONG_CALLS - 1}")
     recorded_on = record["numpy"]
     assert not moved, (
         f"seeded rows moved at {moved} on numpy {np.__version__}, against digests recorded "
@@ -123,6 +134,7 @@ if __name__ == "__main__":
         "digests": {
             name: {str(seed): _digest(_calls(name, seed)) for seed in SEEDS} for name in SHAPES
         },
+        "long": {LONG_SHAPE: {str(LONG_SEED): _long_digest()}},
     }
     RECORD.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {RECORD} on numpy {np.__version__}")
