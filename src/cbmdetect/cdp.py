@@ -90,7 +90,7 @@ class StabilityRelease:
 def _bar(budget):
     """log(1/delta)/epsilon, the noisy distance a release must clear; needs delta > 0."""
     if budget.delta <= 0.0:
-        raise ValueError("stability release needs delta > 0")
+        raise ValueError(f"delta={budget.delta}: the release gate's bar needs delta > 0")
     return math.log(1.0 / budget.delta) / budget.epsilon
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 
+from .detect import ESTIMATORS, estimate
 from .harness import (
     ExperimentConfig,
     one_shot_sweep,
@@ -38,7 +39,6 @@ from .io import (
 )
 from .ldp import ldp_threshold_rhs, perturb_graph
 from .model import format_labels
-from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 from .theory import (
     BoundReport,
     cdp_threshold_for_arl,
@@ -86,15 +86,8 @@ def _cmd_perturb(args):
     return 0
 
 
-_ESTIMATORS = {
-    "sdp": sdp_estimate,
-    "spectral": spectral_estimate,
-    "ml": lambda graph, seed: ml_exhaustive(graph),
-}
-
-
 def _cmd_recover(args):
-    result = _ESTIMATORS[args.estimator](read_graph_csv(args.infile), seed=args.seed)
+    result = estimate(args.estimator, read_graph_csv(args.infile), seed=args.seed)
     print(format_labels(result.labels))
     print(
         f"objective={result.objective:.10g} status={result.status} "
@@ -286,7 +279,7 @@ def build_parser():
     p = sub.add_parser("recover", help="estimate community labels from a graph file")
     p.add_argument("--in", dest="infile", required=True, help="input graph CSV path")
     p.add_argument(
-        "--estimator", choices=("sdp", "spectral", "ml"), default="sdp",
+        "--estimator", choices=ESTIMATORS, default="sdp",
         help="label estimator",
     )
     p.add_argument("--seed", type=int, required=True, help="solver seed")

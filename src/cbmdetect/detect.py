@@ -27,7 +27,7 @@ from .likelihood import (
     mle_params_pooled,
     sensitivity_constant,
 )
-from .model import canonical
+from .model import canonical, check_positive
 from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
 
 
@@ -64,8 +64,7 @@ class StoppingRule:
     eps_gt_4c: bool | None = None
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError(f"threshold b={self.b} must be positive")
+        check_positive("b", self.b)
 
 
 @dataclass
@@ -87,20 +86,22 @@ def init_detector(pre_labels):
     return DetectorState(sigma_hat=canonical(pre_labels))
 
 
-def _estimate(buffer, cfg, current):
-    """Labels from the buffered graphs by cfg's estimator; current is the running estimate or None.
+ESTIMATORS = ("sdp", "spectral", "ml")
 
-    The spectral estimator starts Lanczos from `current` (it moves only
-    where the iteration starts, see spectral_estimate), which meets the
-    same stop rule in fewer steps while the communities hold still.
+
+def estimate(name, graphs, seed=0, start=None):
+    """RecoveryResult of the estimator name, one of ESTIMATORS, on graphs (one graph for ml).
+
+    The only map from a name to a solver; start goes to spectral_estimate only,
+    and the solvers are looked up in this module at call time.
     """
-    if cfg.estimator == "fixed":
-        if current is None:
-            raise ValueError("fixed estimator needs a current estimate")
-        return current
-    if cfg.estimator == "sdp":
-        return sdp_estimate(list(buffer), seed=cfg.seed).labels
-    return spectral_estimate(list(buffer), seed=cfg.seed, start=current).labels
+    if name == "sdp":
+        return sdp_estimate(graphs, seed=seed)
+    if name == "spectral":
+        return spectral_estimate(graphs, seed=seed, start=start)
+    if name == "ml":
+        return ml_exhaustive(graphs)
+    raise ValueError(f"unknown estimator {name!r}, expected one of {ESTIMATORS}")
 
 
 def _is_fresh(state):
@@ -112,12 +113,17 @@ def _advance(state, graph, cfg, score):
 
     A scored step sets stat <- max(stat + score(), 0) and t <- t + 1. score is
     a thunk, so the seed-only first step (a fresh state) never evaluates it
-    and leaves stat and t alone.
+    and leaves stat and t alone. The fixed estimator keeps sigma_hat; spectral
+    starts from it, which meets its stop rule sooner while the communities hold.
     """
+    stat, t = state.stat, state.t
     if not _is_fresh(state):
-        state = replace(state, stat=max(state.stat + score(), 0.0), t=state.t + 1)
+        stat, t = max(stat + score(), 0.0), t + 1
     buffer = (state.buffer + (graph,))[-cfg.window :]
-    return replace(state, sigma_hat=_estimate(buffer, cfg, state.sigma_hat), buffer=buffer)
+    sigma_hat = state.sigma_hat
+    if cfg.estimator != "fixed":
+        sigma_hat = estimate(cfg.estimator, list(buffer), cfg.seed, sigma_hat).labels
+    return replace(state, stat=stat, t=t, sigma_hat=sigma_hat, buffer=buffer)
 
 
 def ldp_step(state, new_graph, pre_labels, p_tilde, zeta_tilde, cfg=None):
@@ -150,8 +156,7 @@ def cdp_threshold(b, zeta, epsilon, seed):
     once per detection run, from stream(seed, THRESHOLD) (seed an int or a
     Generator). epsilon <= 4C is flagged, not rejected.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon={epsilon} must be positive")
+    check_positive("epsilon", epsilon)
     c = sensitivity_constant(zeta)
     bt = b + laplace(stream(seed, THRESHOLD), 2.0 * c / epsilon)
     return StoppingRule(b=b, b_tilde=bt, sensitivity=c, eps_gt_4c=epsilon > 4.0 * c)
@@ -249,7 +254,7 @@ def estimate_prechange_ldp(historical, epsilon, seed):
     are estimated per perturbed graph and majority-voted, and (p, zeta) are
     ML-fit on the pooled perturbed graphs. Returned parameters describe the
     perturbed law, which is what the LDP detector scores against. Labels
-    come from the default (SDP) estimator. The perturbations draw in graph
+    come from the SDP estimator at solver seed 0. The perturbations draw in graph
     order from one stream, stream(seed, PERTURB).
     """
     graphs = list(historical)
@@ -257,7 +262,7 @@ def estimate_prechange_ldp(historical, epsilon, seed):
         raise ValueError("need at least one historical graph")
     rng = stream(seed, PERTURB)
     perturbed = [perturb_graph(g, epsilon, rng) for g in graphs]
-    labs = [_estimate((g,), DetectorConfig(), None) for g in perturbed]
+    labs = [estimate("sdp", g).labels for g in perturbed]
     maj = _majority(labs)
     fit = mle_params_pooled(perturbed, maj)
     return PrechangeEstimate(maj, fit.p_hat, fit.zeta_hat, fit.degenerate)

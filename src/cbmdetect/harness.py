@@ -51,12 +51,14 @@ import numpy as np
 from ._rng import LAPLACE, PERTURB, SAMPLE, SOLVER, TRIAL, derive_seed, generator
 from .cdp import release_assuming_stable, stability_release, subsample_stability_release
 from .detect import (
+    ESTIMATORS,
     DetectorConfig,
     StoppingRule,
     adaptive_step_unknown_params,
     cdp_step,
     cdp_stop,
     cdp_threshold,
+    estimate,
     init_detector,
     ldp_step,
     ldp_stop,
@@ -64,7 +66,7 @@ from .detect import (
 from .io import CDP_DESCRIPTOR, COUNTS, LDP_DESCRIPTOR, checked
 from .ldp import PrivacyBudget, perturb_graph, perturbed_params
 from .model import ChangeScenario, err, random_labels, sample_cbm, validate_labels
-from .recovery import ml_exhaustive, sdp_estimate, spectral_estimate
+from .recovery import sdp_estimate, spectral_estimate
 from .theory import theorem_boundary_a
 
 __all__ = [
@@ -133,20 +135,12 @@ def _detector_cfg(spec, trial_seed):
     return DetectorConfig(seed=derive_seed(trial_seed, SOLVER), **given)
 
 
-def _release_estimator(spec):
-    name = spec.get("release_estimator", "spectral")
-    if name == "ml":
-        return ml_exhaustive
-    if name == "sdp":
-        return lambda g: sdp_estimate(g, seed=0)
-    if name == "spectral":
-        return lambda g: spectral_estimate(g, seed=0)
-    raise ValueError(f"unknown release estimator {name!r}")
-
-
 def _mechanism(spec):
     kind = spec.get("release", "assumed")
-    est = _release_estimator(spec)
+    name = spec.get("release_estimator", "spectral")
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown release estimator {name!r}, expected one of {ESTIMATORS}")
+    est = functools.partial(estimate, name)
     if kind == "assumed":
         return lambda g, b, s: release_assuming_stable(g, b, est, s)
     if kind == "stability":

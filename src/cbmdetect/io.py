@@ -17,8 +17,8 @@ from collections import namedtuple
 import numpy as np
 
 from .model import (
-    CbmParams, ChangeScenario, TernaryGraph, n_pairs, pair_indices, pair_pos, parse_labels,
-    validate_labels,
+    CbmParams, ChangeScenario, TernaryGraph, check_n, n_pairs, pair_indices, pair_pos,
+    parse_labels, validate_labels,
 )
 
 
@@ -277,7 +277,7 @@ def params_from_config(n, zeta, a=None, p=None):
     if (a is None) == (p is None):
         raise ValueError(f"give exactly one of a or p, got a={a!r} and p={p!r}")
     if a is not None:
-        p = a * math.log(n) / n
+        p = a * math.log(check_n(n)) / n
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"a={a!r} puts p = a ln(n)/n = {p:.4g} outside [0, 1]")
     return CbmParams(n=n, p=p, zeta=zeta)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import PERTURB, stream
-from .model import FOREIGN, TernaryGraph, n_pairs
+from .model import FOREIGN, TernaryGraph, check_n, check_positive, n_pairs
 
 # beyond this exp(eps) overflows float64; the mechanism is numerically the
 # identity long before that point
@@ -31,8 +31,7 @@ class PrivacyBudget:
     delta: float = 0.0
 
     def __post_init__(self):
-        if not self.epsilon > 0 or math.isnan(self.epsilon):
-            raise ValueError(f"epsilon={self.epsilon} must be positive")
+        check_positive("epsilon", self.epsilon)
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta={self.delta} outside [0, 1)")
 
@@ -52,8 +51,7 @@ class RrProbabilities:
 
     @classmethod
     def from_epsilon(cls, epsilon):
-        if not epsilon > 0:
-            raise ValueError(f"epsilon={epsilon} must be positive")
+        check_positive("epsilon", epsilon)
         if epsilon > EPS_IDENTITY:
             return cls(keep=1.0, switch=0.0)
         w = math.exp(epsilon)
@@ -85,8 +83,7 @@ def perturbed_params(p, zeta, epsilon):
         raise ValueError(f"p={p} outside [0, 1]")
     if not 0.0 < zeta < 0.5:
         raise ValueError(f"zeta={zeta} outside (0, 0.5)")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon={epsilon} must be positive")
+    check_positive("epsilon", epsilon)
     if epsilon > EPS_IDENTITY:
         return p, zeta
     e1 = math.expm1(epsilon)
@@ -101,10 +98,8 @@ def ldp_threshold_rhs(epsilon, n):
     Equals coth(eps/2) * sqrt(n)/(sqrt(n)-1); the coth form stays stable for
     arbitrarily large eps.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon={epsilon} must be positive")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_positive("epsilon", epsilon)
+    check_n(n)
     rn = math.sqrt(n)
     return (rn / (rn - 1.0)) / math.tanh(epsilon / 2.0)
 

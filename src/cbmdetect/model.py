@@ -51,6 +51,19 @@ def pair_pos(i, j, n):
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+def check_n(n):
+    """n, if it is an int >= 2 (a bool is not); else a ValueError naming it."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an int >= 2, got {n!r}")
+    return n
+
+
+def check_positive(name, value):
+    """A ValueError naming name and value unless value > 0 (NaN is not)."""
+    if not value > 0:
+        raise ValueError(f"{name}={value} must be positive")
+
+
 def validate_labels(labels, n=None):
     """Check a +-1 vector and return it as int8."""
     arr = np.asarray(labels)
@@ -123,8 +136,7 @@ class CbmParams:
     zeta: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"n must be an int >= 2, got {self.n!r}")
+        check_n(self.n)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p={self.p} outside [0, 1]")
         if not 0.0 < self.zeta < 0.5:
@@ -148,8 +160,7 @@ class TernaryGraph:
     upper: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 2:
-            raise ValueError(f"n must be an int >= 2, got {self.n!r}")
+        check_n(self.n)
         arr = np.asarray(self.upper)
         if arr.shape != (n_pairs(self.n),):
             raise ValueError(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .likelihood import disagreeing_pairs, kl_divergence, sensitivity_constant
 from .ldp import ldp_recovery_margin, ldp_threshold_rhs, perturbed_params
-from .model import n_pairs
+from .model import check_n, check_positive, n_pairs
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ def wadd_prediction(gamma, info):
 
 def arl_lower_ldp(b):
     """Run-length floor e^b for the rectified recursion under no change."""
-    if not b > 0:
-        raise ValueError("b must be positive")
+    check_positive("b", b)
     return math.exp(b)
 
 
@@ -83,10 +82,8 @@ def arl_lower_cdp(b, zeta, epsilon):
     The factor (1-(4C/eps)^2)/(1-(2C/eps)^2) needs epsilon > 4C; otherwise
     the bound degenerates and (nan, False) is returned.
     """
-    if not b > 0:
-        raise ValueError("b must be positive")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_positive("b", b)
+    check_positive("epsilon", epsilon)
     factor = _cdp_factor(zeta, epsilon)
     if factor is None:
         return math.nan, False
@@ -101,6 +98,7 @@ def cdp_threshold_for_arl(gamma, zeta, epsilon):
     """
     if not gamma > 1:
         raise ValueError("gamma must exceed 1")
+    check_positive("epsilon", epsilon)
     factor = _cdp_factor(zeta, epsilon)
     if factor is None:
         return math.nan, False
@@ -132,8 +130,11 @@ def ldp_kl_upper(pre, post, p, zeta, epsilon):
     min{4, e^(2 eps)} * (e^eps - 1)^2 * p^2 (1-2 zeta)^2 * (pair term), the
     pair term being twice the number of pairs whose label product differs.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_positive("epsilon", epsilon)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
+    if not 0.0 < zeta < 0.5:
+        raise ValueError(f"zeta={zeta} outside (0, 0.5)")
     pair_term = 2 * disagreeing_pairs(pre, post)
     if epsilon > 350.0:
         return math.inf
@@ -150,14 +151,14 @@ def cdp_delay_lower(gamma, epsilon, delta, n, kl, alpha0):
     """
     if not gamma > 1:
         raise ValueError("gamma must exceed 1")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_positive("epsilon", epsilon)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if not 0.0 < alpha0 <= 1.0:
         raise ValueError("alpha0 must lie in (0, 1]")
     if kl < 0:
         raise ValueError("kl must be nonnegative")
+    check_n(n)
     if kl == 0.0:
         return math.inf
     log_r_eps = n_pairs(n) * math.log(2.0) + math.log(epsilon)
@@ -175,10 +176,8 @@ def min_window_terms(n, epsilon):
     (1 - 1/n) e^eps/(e^eps - 1) and 4(1 - 1/n)/(1 - 2/n)^2 * log n. The
     second is undefined at n = 2 (zero denominator).
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    check_n(n)
+    check_positive("epsilon", epsilon)
     c1 = 1.0 - 1.0 / n
     privacy = c1 / -math.expm1(-epsilon)  # e^eps/(e^eps-1) = 1/(1-e^-eps)
     if n == 2:
@@ -213,6 +212,8 @@ def window_crossover_epsilon(n):
 
 def subsampled_stability_rhs(n, epsilon):
     """Signal the subsampled stability release needs: max(32 log n / eps, 1)."""
+    check_n(n)
+    check_positive("epsilon", epsilon)
     return max(32.0 * math.log(n) / epsilon, 1.0)
 
 
@@ -234,8 +235,6 @@ def recovery_thresholds(a, zeta, epsilon, n):
     """
     if not 0.0 < zeta < 0.5:
         raise ValueError(f"zeta={zeta} outside (0, 0.5)")
-    if n < 2:
-        raise ValueError("n must be >= 2")
     signal = a * (math.sqrt(1.0 - zeta) - math.sqrt(zeta)) ** 2
     base = {"a": a, "zeta": zeta, "epsilon": epsilon, "n": n, "signal": signal}
     margin, precondition_ok = ldp_recovery_margin(a, zeta, epsilon, n)

@@ -65,8 +65,11 @@ def test_distance_refuses_an_enumeration_over_budget():
 
 
 def test_stability_release_needs_positive_delta():
-    with pytest.raises(ValueError):
-        stability_release(_complete_agree(4), PrivacyBudget(1.0, 0.0), ml_exhaustive, 0)
+    # every mechanism's gate, and its refusal names delta, not one mechanism
+    budget = PrivacyBudget(1.0, 0.0)
+    for release in (stability_release, subsample_stability_release, release_assuming_stable):
+        with pytest.raises(ValueError, match=r"delta=0\.0: the release gate's bar"):
+            release(_complete_agree(4), budget, ml_exhaustive, 0)
 
 
 def test_stability_release_fires_on_stable_graph():

@@ -6,9 +6,10 @@ import pytest
 
 from cbmdetect import cli
 from cbmdetect.cli import VERB_MAP, build_parser, main
+from cbmdetect.detect import ESTIMATORS, estimate
 from cbmdetect.harness import ExperimentConfig, one_shot_sweep, run_arl_trials
 from cbmdetect.io import read_graph_csv, scenario_from_config, write_stream_csv, write_sweep_csv
-from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, parse_labels
+from cbmdetect.model import CbmParams, TernaryGraph, format_labels, pair_indices, parse_labels
 from cbmdetect.theory import info_numbers
 
 POST_CONFIG = {
@@ -77,6 +78,9 @@ def test_generate_flag_validation(tmp_path, capsys):
     assert main(base + ["--a", "2", "--p", "0.5"]) == 2
     assert main(base + ["--p", "0.5", "--labels", "++-"]) == 2
     assert "error:" in capsys.readouterr().err
+    # n is checked before ln(n) is taken, not reported as a math domain error
+    assert main([*base[:2], "0", *base[3:], "--a", "2"]) == 2
+    assert "n must be an int >= 2, got 0" in capsys.readouterr().err
 
 
 SWEEP_HEADER = (
@@ -160,6 +164,20 @@ def test_pipeline_generate_perturb_recover(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == labels
     assert lines[1].startswith("objective=") and "status=converged iterations=0" in lines[1]
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_recover_prints_the_named_estimate(tmp_path, capsys, name):
+    graph = tmp_path / "g.csv"
+    argv = ["--n", "10", "--p", "0.8", "--zeta", "0.1", "--seed", "0", "--out", str(graph)]
+    assert main(["generate", *argv]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--in", str(graph), "--estimator", name, "--seed", "3"]) == 0
+    result = estimate(name, read_graph_csv(graph), seed=3)
+    assert capsys.readouterr().out.splitlines() == [
+        format_labels(result.labels),
+        f"objective={result.objective:.10g} status=converged iterations={result.iterations}",
+    ]
 
 
 def test_recover_degenerate_graph_exits_one(tmp_path, capsys):
@@ -357,10 +375,23 @@ def test_detect_requires_detector_fields(tmp_path, capsys):
             "unread ['zetta']",
         ),
         (lambda c: c["scenario"].pop("n"), ("detect", "simulate"), "missing ['n']"),
+        # ln(n) of a given a once read as a math domain error, naming no key
+        (
+            lambda c: (c["scenario"].pop("p"), c["scenario"].update(n=0, a=2.0)),
+            ("detect", "simulate"),
+            "scenario: n must be an int >= 2, got 0",
+        ),
+        # the assumed release's gate, as every release's, needs delta > 0
+        (
+            lambda c: c.update(detector={"kind": "CDP", "b": 1.0, "epsilon": 2.0, "delta": 0}),
+            ("detect", "simulate"),
+            "delta=0: the release gate's bar",
+        ),
     ],
     ids=[
         "a-and-p", "neither", "post-a-and-p", "ldp-delta", "cdp-window", "no-b", "trails", "b-800",
-        "n-float", "nu-float", "scenario-extra", "flip-extra", "zetta", "no-n",
+        "n-float", "nu-float", "scenario-extra", "flip-extra", "zetta", "no-n", "n-0-with-a",
+        "cdp-delta-0",
     ],
 )
 def test_refused_inputs_exit_two(tmp_path, capsys, edit, verbs, refusal):
@@ -533,6 +564,23 @@ def test_threshold_infeasible_exits_one(capsys):
     code = main(["threshold", "--thm", "2", "--gamma", "10", "--zeta", "0.1", "--eps", "10"])
     assert code == 1
     assert "infeasible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["--thm", "3", "--n", "50", "--eps", "0"], "epsilon=0.0 must be positive"),
+        (["--thm", "3", "--n", "50", "--eps", "-1"], "epsilon=-1.0 must be positive"),
+        (["--thm", "3", "--n", "0", "--eps", "1"], "n must be an int >= 2, got 0"),
+        (["--thm", "2", "--gamma", "10", "--zeta", "0.1", "--eps", "-1"], "epsilon=-1.0"),
+    ],
+    ids=["thm3-eps-0", "thm3-eps-negative", "thm3-n-0", "thm2-eps-negative"],
+)
+def test_threshold_refuses_inputs_outside_the_domain(capsys, argv, refusal):
+    # these once raised ZeroDivisionError (exit 1), returned a value, printed
+    # a math domain error or reported a bar as infeasible
+    assert main(["threshold", *argv]) == 2
+    assert refusal in capsys.readouterr().err
 
 
 def test_threshold_missing_inputs(capsys):

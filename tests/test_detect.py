@@ -6,12 +6,14 @@ import pytest
 
 from cbmdetect.cdp import StabilityRelease
 from cbmdetect.detect import (
+    ESTIMATORS,
     DetectorConfig,
     StoppingRule,
     adaptive_step_unknown_params,
     cdp_step,
     cdp_stop,
     cdp_threshold,
+    estimate,
     estimate_prechange_cdp,
     estimate_prechange_ldp,
     init_detector,
@@ -22,7 +24,7 @@ from cbmdetect.detect import (
 from cbmdetect.ldp import PrivacyBudget, perturbed_params
 from cbmdetect.likelihood import flip_gap, log_likelihood_ratio
 from cbmdetect.model import CbmParams, TernaryGraph, pair_indices, quad_form, sample_cbm
-from cbmdetect.recovery import EIGH_MAX_N, ml_exhaustive, spectral_estimate
+from cbmdetect.recovery import EIGH_MAX_N, ml_exhaustive, sdp_estimate, spectral_estimate
 
 PRE = np.array([1, 1, 1, -1, -1, -1], dtype=np.int8)
 POST = np.array([1, -1, 1, -1, -1, -1], dtype=np.int8)
@@ -50,6 +52,41 @@ def test_config_validation():
         DetectorConfig(window=0)
     with pytest.raises(ValueError):
         StoppingRule(b=0.0)
+
+
+# each name's solver, called directly: what estimate must return
+DIRECT = {
+    "sdp": lambda g, seed: sdp_estimate(g, seed=seed),
+    "spectral": lambda g, seed: spectral_estimate(g, seed=seed),
+    "ml": lambda g, seed: ml_exhaustive(g),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_estimate_is_the_direct_solver_call(name):
+    labels = np.array([1] * 5 + [-1] * 5, dtype=np.int8)
+    for seed in range(3):
+        g = sample_cbm(CbmParams(n=10, p=0.6, zeta=0.1), labels, seed)
+        got, want = estimate(name, g, seed), DIRECT[name](g, seed)
+        assert np.array_equal(got.labels, want.labels)
+        assert (got.objective, got.status, got.iterations) == (
+            want.objective, want.status, want.iterations,
+        )
+
+
+def test_estimate_forwards_start_to_spectral_only():
+    g = _pattern_graph(POST)
+    zero = np.zeros(len(POST))
+    with pytest.raises(ValueError):  # spectral_estimate refuses a zero start
+        estimate("spectral", g, 0, zero)
+    for name in ("sdp", "ml"):
+        assert np.array_equal(estimate(name, g, 0, zero).labels, estimate(name, g, 0).labels)
+
+
+@pytest.mark.parametrize("name", ["fixed", "mll", "SDP", None])
+def test_estimate_refuses_an_unknown_name(name):
+    with pytest.raises(ValueError, match=f"unknown estimator {name!r}"):
+        estimate(name, _pattern_graph(POST))
 
 
 def test_first_sample_only_seeds():

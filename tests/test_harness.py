@@ -173,6 +173,20 @@ def test_make_runner_kinds():
     assert isinstance(make_runner(sc, StopAtThree, trial_seed=0), StopAtThree)
 
 
+def test_unknown_release_estimator_is_refused_before_any_draw(monkeypatch):
+    # the descriptor table reads any string; _mechanism refuses the name
+    draws = []
+    monkeypatch.setattr(harness, "generator", lambda *args: draws.append(args))
+    monkeypatch.setattr(harness, "sample_cbm", lambda *args: draws.append(args))
+    detector = {"kind": "CDP", "b": 1.0, "epsilon": 2.0, "release_estimator": "mll"}
+    with pytest.raises(ValueError, match="unknown release estimator 'mll'"):
+        make_runner(_scenario(), detector, trial_seed=0)
+    cfg = ExperimentConfig(scenario=_scenario(), detector=detector, trials=2, truncation=3)
+    with pytest.raises(ValueError, match="unknown release estimator 'mll'"):
+        run_delay_trials(cfg)
+    assert draws == []
+
+
 def test_make_runner_rejects_unknown_descriptor_keys():
     base = {"kind": "LDP", "b": 1.0, "epsilon": 2.0}
     with pytest.raises(ValueError, match="windw"):

@@ -11,6 +11,7 @@ from cbmdetect.io import (
     ingest_stream,
     labels_from_config,
     load_experiment_json,
+    params_from_config,
     read_graph_csv,
     scenario_from_config,
     write_graph_csv,
@@ -219,6 +220,16 @@ def test_scenario_needs_exactly_one_of_a_and_p(edit):
     base = {"n": 4, "p": 0.5, "zeta": 0.2, "pre": "++--", "post": "+---", "nu": 1}
     with pytest.raises(ValueError, match="exactly one of a or p"):
         scenario_from_config({**base, **edit})
+
+
+@pytest.mark.parametrize("n", [0, -3, 1, 10.0, True])
+def test_params_from_a_check_n_before_taking_its_log(n):
+    # n = 0 and -3 once failed in math.log with no key named
+    with pytest.raises(ValueError, match=f"n must be an int >= 2, got {n!r}"):
+        params_from_config(n, 0.1, a=2.0)
+    payload = {"n": n, "a": 2.0, "zeta": 0.1, "pre": "++--", "post": "+---"}
+    with pytest.raises(ValueError, match="n must be"):
+        scenario_from_config(payload)
 
 
 @pytest.mark.parametrize("flip", [[6], [1.5], [-1], [0, 0], 3, [True], "0"])

@@ -21,6 +21,7 @@ from cbmdetect.theory import (
     min_window,
     min_window_terms,
     recovery_thresholds,
+    subsampled_stability_rhs,
     theorem_boundary_a,
     wadd_prediction,
     window_crossover_epsilon,
@@ -134,6 +135,12 @@ def test_ldp_kl_upper_extremes():
     assert ldp_kl_upper(PRE50, POST50, 0.5, 0.1, 400.0) == math.inf
     with pytest.raises(ValueError):
         ldp_kl_upper(PRE50, POST50, 0.5, 0.1, 0.0)
+    # p and zeta as CbmParams reads them; p = 5 with zeta = 0.9 once returned 1133.76
+    pre, post = np.array([1, 1, -1, -1]), np.array([1, -1, -1, -1])
+    for p, zeta, refusal in ((5.0, 0.1, "p=5.0"), (-0.1, 0.1, "p=-0.1"), (0.5, 0.9, "zeta=0.9"),
+                             (0.5, 0.0, "zeta=0.0"), (0.5, 0.5, "zeta=0.5")):
+        with pytest.raises(ValueError, match=refusal):
+            ldp_kl_upper(pre, post, p, zeta, 1.0)
 
 
 def test_cdp_delay_lower_small_and_saturated():
@@ -158,9 +165,32 @@ def test_cdp_delay_lower_validation():
         dict(gamma=2.0, epsilon=1.0, delta=-0.1, n=5, kl=1.0, alpha0=1.0),
         dict(gamma=2.0, epsilon=1.0, delta=0.0, n=5, kl=1.0, alpha0=1.5),
         dict(gamma=2.0, epsilon=1.0, delta=0.0, n=5, kl=-1.0, alpha0=1.0),
+        # n = -3 once returned 2.30, as if it had 6 pairs
+        dict(gamma=10.0, epsilon=1.0, delta=0.0, n=-3, kl=1.0, alpha0=1.0),
+        dict(gamma=10.0, epsilon=1.0, delta=0.0, n=1, kl=0.0, alpha0=1.0),
     ):
         with pytest.raises(ValueError):
             cdp_delay_lower(**kwargs)
+    with pytest.raises(ValueError, match="got -3"):
+        cdp_delay_lower(10.0, 1.0, 0.0, -3, 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "n, epsilon, refusal",
+    [(50, 0.0, "epsilon=0.0"), (50, -1.0, "epsilon=-1.0"), (0, 1.0, "got 0"), (1, 1.0, "got 1")],
+)
+def test_subsampled_stability_rhs_refuses_its_domain(n, epsilon, refusal):
+    # eps = 0 divided by zero, eps = -1 returned 1.0 and n = 0 a math domain error
+    with pytest.raises(ValueError, match=refusal):
+        subsampled_stability_rhs(n, epsilon)
+    assert subsampled_stability_rhs(50, math.log(50)) == 32.0
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_cdp_threshold_for_arl_refuses_a_nonpositive_epsilon(epsilon):
+    # refused as input, not reported as an infeasible bar
+    with pytest.raises(ValueError, match=f"epsilon={epsilon}"):
+        cdp_threshold_for_arl(10.0, 0.1, epsilon)
 
 
 def test_min_window_crossover():
