@@ -93,13 +93,18 @@ def estimate(name, graphs, seed=0, start=None):
     """RecoveryResult of the estimator name, one of ESTIMATORS, on graphs (one graph for ml).
 
     The only map from a name to a solver; start goes to spectral_estimate only,
-    and the solvers are looked up in this module at call time.
+    and the solvers are looked up in this module at call time. ml takes a
+    graph or a window (list or tuple) of one graph; a longer window is refused.
     """
     if name == "sdp":
         return sdp_estimate(graphs, seed=seed)
     if name == "spectral":
         return spectral_estimate(graphs, seed=seed, start=start)
     if name == "ml":
+        if isinstance(graphs, (list, tuple)):
+            if len(graphs) != 1:
+                raise ValueError(f"the ml estimator takes one graph, got a window of {len(graphs)}")
+            graphs = graphs[0]
         return ml_exhaustive(graphs)
     raise ValueError(f"unknown estimator {name!r}, expected one of {ESTIMATORS}")
 

@@ -104,7 +104,7 @@ SHIFT = 0.10  # the ascent's shift, as a share of the semicircle edge 2 ||M||_F 
 
 def _rownormalize(w, v):
     """w divided in place to unit rows; with a zero row, a copy where that row takes v's."""
-    norms = np.sqrt(np.einsum("ir,ir->i", w, w))[:, None]
+    norms = np.sqrt(np.vecdot(w, w))[:, None]
     if norms.all():
         w /= norms
         return w
@@ -246,7 +246,7 @@ def _ascend(m, v, shift):
     ys, vs = deque(maxlen=GAP_EVERY + 1), deque(maxlen=GAP_EVERY + 1)
     for it in range(MAX_ITERS + 1):
         mv = ms @ v
-        y = np.einsum("ir,ir->i", mv, v)
+        y = np.vecdot(mv, v)
         ys.append(y)
         vs.append(v)
         if it % GAP_EVERY == 0 and len(ys) == ys.maxlen:

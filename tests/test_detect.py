@@ -83,6 +83,23 @@ def test_estimate_forwards_start_to_spectral_only():
         assert np.array_equal(estimate(name, g, 0, zero).labels, estimate(name, g, 0).labels)
 
 
+@pytest.mark.parametrize("name", ESTIMATORS)
+@pytest.mark.parametrize("window", [list, tuple])
+def test_estimate_takes_a_one_graph_window(name, window):
+    g = _pattern_graph(POST)
+    got, want = estimate(name, window([g]), 1), estimate(name, g, 1)
+    assert np.array_equal(got.labels, want.labels)
+    assert (got.objective, got.status, got.iterations) == (
+        want.objective, want.status, want.iterations,
+    )
+
+
+@pytest.mark.parametrize("length", [0, 2, 3])
+def test_ml_refuses_a_longer_window(length):
+    with pytest.raises(ValueError, match=f"ml estimator takes one graph, got a window of {length}"):
+        estimate("ml", [_pattern_graph(POST)] * length)
+
+
 @pytest.mark.parametrize("name", ["fixed", "mll", "SDP", None])
 def test_estimate_refuses_an_unknown_name(name):
     with pytest.raises(ValueError, match=f"unknown estimator {name!r}"):

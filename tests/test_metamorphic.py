@@ -4,7 +4,8 @@ A CBM's law does not depend on how its nodes are numbered. A permutation pi
 that moves the graph's entries and every label vector together must move
 every output by pi. Negating a labeling leaves its law alone, and a drawn
 trial's raw graphs, replayed as a stream, are that trial. Each test states
-one such property, and each holds exactly.
+one such property, and each holds exactly, except the certified SDP value,
+which holds up to the two bars its certificates prove.
 
 Not gated: the SDP estimate at window 1 depends on the numbering, because
 its seeded start's rows are tied to node indices and a block certified
@@ -28,7 +29,9 @@ from cbmdetect.likelihood import log_likelihood, log_likelihood_ratio, mle_param
 from cbmdetect.model import (
     CbmParams, ChangeScenario, TernaryGraph, canonical, random_labels, sample_cbm,
 )
-from cbmdetect.recovery import spectral_estimate
+from cbmdetect.recovery import GAP_TOL, ml_exhaustive, sdp_estimate, spectral_estimate
+
+import oracles
 
 
 def _relabelled(graph, perm):
@@ -37,9 +40,9 @@ def _relabelled(graph, perm):
 
 
 @st.composite
-def labelled_graphs(draw):
+def labelled_graphs(draw, max_n=30):
     """(graph, labels, other labels, pi, p, zeta): a CBM draw and two labelings of its nodes."""
-    n = draw(st.integers(3, 30))
+    n = draw(st.integers(3, max_n))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p, zeta = draw(st.floats(0.05, 0.95)), draw(st.floats(0.01, 0.49))
     labels, other = random_labels(n, rng), random_labels(n, rng)
@@ -101,6 +104,50 @@ def test_lanczos_spectral_labels_follow_the_numbering(seed):
     assert result.status == "converged"
     want = canonical(spectral_estimate(graph, seed=0).labels[perm])
     assert np.array_equal(result.labels, want)
+
+
+def _certified_value(graph):
+    """The value f of the ascent sdp_estimate runs on graph at solver seed 0, or None uncertified."""
+    ascend, ascents = recovery._ascend, []
+
+    def record(*args):
+        ascents.append(ascend(*args))
+        return ascents[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "_ascend", record)
+        sdp_estimate(graph, seed=0)
+    _, certified, _, _, f = ascents[0]
+    return f if certified else None
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_a_certified_ascent_value_does_not_depend_on_the_numbering(seed):
+    # each side's f is proved within GAP_TOL (1 + |f|) of the one SDP optimum,
+    # which the numbering does not move; the seeded start's rows stay put
+    graph = _perturbed(50, 5.0, seed)
+    perm = np.random.default_rng(seed).permutation(50)
+    f, f_moved = _certified_value(graph), _certified_value(_relabelled(graph, perm))
+    if f is not None and f_moved is not None:
+        assert abs(f - f_moved) <= GAP_TOL * (1.0 + abs(f)) + GAP_TOL * (1.0 + abs(f_moved))
+
+
+def _unique_optimum(graph):
+    m = graph.dense()
+    objs = [labels @ m @ labels for labels in oracles.all_canonical_labelings(graph.n)]
+    return objs.count(max(objs)) == 1
+
+
+@settings(max_examples=100)
+@given(labelled_graphs(max_n=10))
+def test_ml_labels_follow_the_numbering(case):
+    graph, _, _, perm, _, _ = case
+    if _unique_optimum(graph):
+        want = ml_exhaustive(graph)
+        got = ml_exhaustive(_relabelled(graph, perm))
+        assert np.array_equal(got.labels, canonical(want.labels[perm]))
+        assert got.objective == want.objective
 
 
 CDP = {"kind": "CDP", "b": 3.0, "epsilon": 20.0, "release": "assumed"}

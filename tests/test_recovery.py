@@ -32,6 +32,7 @@ from cbmdetect.recovery import (
     _lanczos,
     _power_step,
     _proves_psd,
+    _rownormalize,
     _sign_proof,
     _signs,
     _solver_start,
@@ -123,6 +124,33 @@ def test_power_step_never_lowers_objective(graph, seed):
     np.testing.assert_allclose(np.linalg.norm(after, axis=1), 1.0, rtol=1e-12)
     after_obj = np.einsum("ir,ij,jr->", after, m, after)
     assert after_obj >= before_obj - 1e-9 * (1.0 + abs(before_obj))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 12), st.floats(-100.0, 100.0))
+def test_rownormalize_divides_in_place_by_the_row_norms(seed, n, rank, log_scale):
+    w = np.random.default_rng(seed).standard_normal((n, rank)) * 10.0**log_scale
+    want = w / np.linalg.norm(w, axis=1, keepdims=True)
+    v = _unit_block(n, rank, seed)
+    before = v.copy()
+    assert _rownormalize(w, v) is w
+    # each side rounds a sum of rank squares, its square root and a quotient
+    np.testing.assert_array_max_ulp(w, want, maxulp=8)
+    assert np.array_equal(v, before)
+
+
+def test_rownormalize_keeps_the_previous_row_where_a_row_is_zero():
+    w = np.random.default_rng(0).standard_normal((6, 3))
+    w[[1, 4]] = 0.0
+    v = _unit_block(6, 3, 1)
+    w_before, v_before = w.copy(), v.copy()
+    out = _rownormalize(w, v)
+    assert out is not w and out is not v
+    assert np.array_equal(w, w_before) and np.array_equal(v, v_before)
+    assert np.array_equal(out[[1, 4]], v[[1, 4]])
+    rows = w[[0, 2, 3, 5]]
+    want = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    np.testing.assert_array_max_ulp(out[[0, 2, 3, 5]], want, maxulp=8)
 
 
 def _assert_weak_duality(m, y, f, feasible):
